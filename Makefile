@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint verify smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-smoke ivm-test storage-smoke storage-test recovery-smoke recovery-test adaptive-smoke adaptive-test perf-regress coverage bench
+.PHONY: test lint verify smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-smoke ivm-test storage-smoke storage-test recovery-smoke recovery-test adaptive-smoke adaptive-test e2e-smoke perf-regress coverage bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -75,6 +75,13 @@ adaptive-smoke:
 adaptive-test:
 	$(PYTHON) -m pytest -m adaptive -q
 
+# The end-to-end benchmark's own gate (benchmarks/e2e/README.md): the
+# manifest/metric-name check, then one short round of every workload
+# with its output checks (results go to the ignored benchmarks/e2e/out/).
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --check
+	$(PYTHON) benchmarks/e2e/run.py --quick
+
 # Re-runs the quick benchmarks into scratch files and fails on a >20%
 # drop of any committed headline speedup (tools/perf_regress.py).
 perf-regress:
@@ -97,9 +104,10 @@ coverage:
 # BENCH_storage.json), and the point-in-time recovery smoke asserting
 # RPO=0 under a mid-ingest crash (writes BENCH_recovery.json), the
 # adaptive-marked equivalence properties, the compiled-pipeline /
-# re-optimization smoke (writes BENCH_adaptive.json), and the
-# perf-regression gate over the committed headline speedups.
-verify: lint test smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-test ivm-smoke storage-smoke recovery-smoke adaptive-test adaptive-smoke perf-regress
+# re-optimization smoke (writes BENCH_adaptive.json), the end-to-end
+# benchmark's check + quick round, and the perf-regression gate over
+# the committed headline speedups.
+verify: lint test smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-test ivm-smoke storage-smoke recovery-smoke adaptive-test adaptive-smoke e2e-smoke perf-regress
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

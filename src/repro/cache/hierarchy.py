@@ -6,7 +6,9 @@ and hands the hierarchy to the query engine.  Wiring rules:
 
 * puts invalidate by dependency — result entries whose ``base_views()``
   set contains the written table are dropped, the probe memo flushes,
-  physical-plan entries age out via the bus epoch;
+  physical-plan entries age out via the bus epoch; keyword-search
+  entries (open sessions, same tier) carry no table dependency and are
+  validated at lookup against the text index's generation instead;
 * node events (chaos crash/corrupt/partition, topology changes, catalog
   redefinitions) flush the result cache and probe memo wholesale;
 * results computed while the appliance reports missing segments are
@@ -128,6 +130,8 @@ class CacheHierarchy:
             "result": {
                 "hits": self.results.stats.hits,
                 "misses": self.results.stats.misses,
+                "search_hits": self.results.stats.search_hits,
+                "search_misses": self.results.stats.search_misses,
                 "invalidations": self.results.stats.invalidations,
                 "evictions": self.results.stats.evictions,
                 "flushes": self.results.stats.flushes,

@@ -12,13 +12,21 @@ change which segments are reachable, and a cached answer derived from a
 now-missing segment must never be served as fresh (the engine
 additionally refuses to *admit* results computed while the appliance
 reports missing segments — see :class:`repro.cache.CacheHierarchy`).
+
+Keyword-search answers of open sessions share the tier (key ``("search",
+query, top_k)``).  They depend on the whole text index rather than on
+tables — BM25 reads N and avgdl, so any indexed write can move every
+score — and are therefore validated at lookup against the index
+*generation* they read, like ``PlanCache.physical`` validates its epoch:
+a stale entry is a miss and is overwritten in place, never re-keyed, so
+dead search entries cannot crowd SQL entries out of the LRU.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional
 
 from repro.exec.costs import estimate_rows_bytes
 
@@ -34,14 +42,22 @@ class CachedResult:
     sim_ms: float
     plan_text: str
     bytes: int
+    #: Keyword-search entries only: the ranked hits and the text-index
+    #: generation they were scored against (None on SQL entries).
+    hits: Optional[List[Any]] = None
+    generation: Optional[int] = None
 
 
 class ResultCacheStats:
-    __slots__ = ("hits", "misses", "invalidations", "flushes", "evictions", "bytes")
+    __slots__ = ("hits", "misses", "search_hits", "search_misses",
+                 "invalidations", "flushes", "evictions", "bytes")
 
     def __init__(self) -> None:
+        #: SQL lookups, as ever; keyword-search lookups count apart.
         self.hits = 0
         self.misses = 0
+        self.search_hits = 0
+        self.search_misses = 0
         self.invalidations = 0
         self.flushes = 0
         self.evictions = 0
@@ -65,32 +81,53 @@ class ResultCache:
         self.byte_capacity = byte_capacity
         self.telemetry = telemetry
         self.stats = ResultCacheStats()
-        self._entries: "OrderedDict[str, CachedResult]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, CachedResult]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    def lookup(self, fingerprint: str) -> Optional[CachedResult]:
+    def lookup(
+        self, fingerprint: Hashable, generation: Optional[int] = None
+    ) -> Optional[CachedResult]:
+        """The entry under *fingerprint*, or None.  A keyword-search
+        lookup passes the text index's current *generation*; an entry
+        that read another one is a miss (and stays put for :meth:`store`
+        to overwrite)."""
+        stats, telemetry = self.stats, self.telemetry
+        suffix = "" if generation is None else ".search"
         entry = self._entries.get(fingerprint)
-        if entry is None:
-            self.stats.misses += 1
-            if self.telemetry is not None:
-                self.telemetry.inc("cache.result.misses")
+        if entry is None or entry.generation != generation:
+            if suffix:
+                stats.search_misses += 1
+            else:
+                stats.misses += 1
+            if telemetry is not None:
+                telemetry.inc("cache.result.misses" + suffix)
             return None
         self._entries.move_to_end(fingerprint)
-        self.stats.hits += 1
-        if self.telemetry is not None:
-            self.telemetry.inc("cache.result.hits")
+        if suffix:
+            stats.search_hits += 1
+        else:
+            stats.hits += 1
+        if telemetry is not None:
+            telemetry.inc("cache.result.hits" + suffix)
         return entry
 
     def store(
         self,
-        fingerprint: str,
+        fingerprint: Hashable,
         rows: List[Row],
         dependencies: FrozenSet[str],
         sim_ms: float,
         plan_text: str = "",
+        hits: Optional[List[Any]] = None,
+        generation: Optional[int] = None,
     ) -> Optional[CachedResult]:
-        """Admit one result; returns the entry (None when it cannot fit)."""
+        """Admit one result; returns the entry (None when it cannot fit).
+        *hits*/*generation* mark a keyword-search entry: the hits are the
+        caller's private copy (kept as passed), their documents charged
+        to the byte budget."""
         nbytes = estimate_rows_bytes(rows)
+        if hits is not None:
+            nbytes += sum(h.document.size_bytes() for h in hits if h.document is not None)
         if nbytes > self.byte_capacity:
             return None  # a single oversized result would evict everything
         old = self._entries.pop(fingerprint, None)
@@ -102,6 +139,8 @@ class ResultCache:
             sim_ms=sim_ms,
             plan_text=plan_text,
             bytes=nbytes,
+            hits=hits,
+            generation=generation,
         )
         self._entries[fingerprint] = entry
         self.stats.bytes += nbytes

@@ -633,6 +633,11 @@ class Impliance:
         """
         if principal is None:
             principal = Principal("default", ("system",))
+        elif not isinstance(principal, Principal):
+            raise TypeError(
+                f"connect(principal=...) takes a repro.security.Principal, "
+                f"got {type(principal).__name__}: {principal!r}"
+            )
         self._session_count += 1
         return Session(
             self,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import defaultdict
+from itertools import count
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -26,6 +27,11 @@ STOPWORDS = frozenset(
 
 BM25_K1 = 1.2
 BM25_B = 0.75
+
+#: Source of index generations: process-wide, so no two index states —
+#: even of different instances (``IndexManager.rebuild_from`` swaps the
+#: index object) — ever share one.
+_GENERATIONS = count(1)
 
 
 def tokenize(text: str) -> List[str]:
@@ -78,6 +84,11 @@ class InvertedIndex:
         self._doc_lengths: Dict[str, int] = {}
         self._total_length = 0
         self.stats = TextIndexStats()
+        #: Changes with every mutation.  BM25 reads N and avgdl, so any
+        #: mutation can move every score: an answer derived from this
+        #: index is valid exactly while the generation it read is current
+        #: (the keyword result cache validates on it, docs/CACHING.md).
+        self.generation = next(_GENERATIONS)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -93,6 +104,7 @@ class InvertedIndex:
         for token, position in tokens:
             posting = self._postings[token].setdefault(doc_id, [])
             posting.append(position)
+        self.generation = next(_GENERATIONS)
         self.stats.adds += 1
         self.stats.postings_touched += len({t for t, _ in tokens})
 
@@ -115,6 +127,7 @@ class InvertedIndex:
         postings = self._postings
         for term, positions in term_positions.items():
             postings[term][doc_id] = list(positions)
+        self.generation = next(_GENERATIONS)
         self.stats.adds += 1
         self.stats.postings_touched += len(term_positions)
 
@@ -134,6 +147,7 @@ class InvertedIndex:
                     emptied.append(term)
         for term in emptied:
             del self._postings[term]
+        self.generation = next(_GENERATIONS)
         self.stats.removes += 1
         self.stats.postings_touched += touched
 
@@ -145,6 +159,7 @@ class InvertedIndex:
         self._total_length = 0
         for doc_id, text in corpus:
             self.add(doc_id, text)
+        self.generation = next(_GENERATIONS)
         self.stats.rebuilds += 1
 
     # ------------------------------------------------------------------
@@ -208,15 +223,26 @@ class InvertedIndex:
         terms = tokenize(query)
         if not terms:
             return []
+        # One inlined loop over each term's postings; the expression and
+        # its evaluation order are those of the ``_idf``/``_bm25``
+        # reference above, so every score is bit-identical to theirs.
         scores: Dict[str, float] = defaultdict(float)
+        doc_lengths = self._doc_lengths
+        n = len(doc_lengths)
+        avg = self.average_doc_length or 1.0
+        k1, b, k1_plus_1, one_minus_b = BM25_K1, BM25_B, BM25_K1 + 1, 1 - BM25_B
         for term in set(terms):
-            idf = self._idf(term)
-            if idf == 0.0:
-                continue
-            for doc_id in self._postings.get(term, {}):
+            postings = self._postings.get(term)
+            if not postings:
+                continue  # df == 0: the reference's idf == 0.0 skip
+            df = len(postings)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            for doc_id, positions in postings.items():
                 if candidates is not None and doc_id not in candidates:
                     continue
-                scores[doc_id] += self._bm25(term, doc_id, idf)
+                tf = len(positions)
+                denom = tf + k1 * (one_minus_b + b * doc_lengths[doc_id] / avg)
+                scores[doc_id] += idf * tf * k1_plus_1 / denom
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         return [SearchHit(doc_id, score) for doc_id, score in ranked[:top_k]]
 

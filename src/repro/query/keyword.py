@@ -26,6 +26,13 @@ class KeywordHit:
     via_annotation: Optional[str] = None  # annotation doc id, when folded
 
 
+def copy_hits(hits: List[KeywordHit]) -> List[KeywordHit]:
+    """Fresh hit objects over the same (frozen) documents — what the
+    result cache keeps and hands out, so no caller can edit a cached
+    answer."""
+    return [KeywordHit(h.doc_id, h.score, h.document, h.via_annotation) for h in hits]
+
+
 class KeywordSearch:
     """Keyword retrieval over a repository (engine-protocol object)."""
 
@@ -46,11 +53,17 @@ class KeywordSearch:
         document is replaced by a hit on its subject (keeping the best
         score per subject) — users asked for their data, not the system's
         bookkeeping; the annotation id is retained for provenance.
+
+        Every candidate is fetched once: the documents read while folding
+        are the ones the top-k carry (a policy-scoped repository therefore
+        audits one READ per candidate per search).
         """
         raw = self.repository.indexes.text.search(query, top_k=top_k * 3, candidates=within)
+        lookup = self.repository.lookup
+        fetched: Dict[str, Optional[Document]] = {}
         best: Dict[str, KeywordHit] = {}
         for hit in raw:
-            document = self.repository.lookup(hit.doc_id)
+            document = fetched[hit.doc_id] = lookup(hit.doc_id)
             target_id = hit.doc_id
             via = None
             if (
@@ -68,7 +81,10 @@ class KeywordSearch:
         ranked = sorted(best.values(), key=lambda h: (-h.score, h.doc_id))[:top_k]
         if fetch:
             for hit in ranked:
-                hit.document = self.repository.lookup(hit.doc_id)
+                # A folded hit's subject may not have been a candidate.
+                if hit.doc_id not in fetched:
+                    fetched[hit.doc_id] = lookup(hit.doc_id)
+                hit.document = fetched[hit.doc_id]
         return ranked
 
     def phrase(self, phrase: str) -> Set[str]:

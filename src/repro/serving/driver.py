@@ -104,6 +104,8 @@ class ServingReport:
     shed: int = 0
     stall_events: int = 0
     errors: int = 0
+    #: Failed requests by exception class name (sums to ``errors``).
+    errors_by_class: Dict[str, int] = field(default_factory=dict)
     tenants: Dict[str, _TenantOutcome] = field(default_factory=dict)
 
     @property
@@ -147,6 +149,7 @@ class ServingReport:
             "shed": self.shed,
             "stall_events": self.stall_events,
             "errors": self.errors,
+            "errors_by_class": dict(sorted(self.errors_by_class.items())),
             "goodput_rps": self.goodput_rps,
             "tenants": {
                 name: {
@@ -238,7 +241,7 @@ class WorkloadDriver:
         elif kind == "sql":
             stmt = rng.choice(queries["sqls"])
             fn = (
-                lambda s=session, q=stmt: s._sql_impl(q, "simple", None)
+                lambda s=session, q=stmt: s._sql_impl(q, "simple", None, False)
             ) if self.execute else None
         elif kind == "faceted":
             term = rng.choice(queries["searches"])
@@ -374,10 +377,12 @@ class WorkloadDriver:
                 if self.execute and request.fn is not None:
                     try:
                         request.result = request.fn()
-                    except Exception:
+                    except Exception as exc:
                         ok = False
                         tenant.errors += 1
                         report.errors += 1
+                        name = type(exc).__name__
+                        report.errors_by_class[name] = report.errors_by_class.get(name, 0) + 1
                 scheduler.on_complete(request, request.latency_ms, ok=ok)
                 if ok:
                     tenant.completed += 1

@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.model.document import Document
 from repro.query.faceted import FacetedSession
 from repro.query.graph import GraphQuery
-from repro.query.keyword import KeywordSearch
+from repro.query.keyword import KeywordSearch, copy_hits
 from repro.query.result import QueryResult
 from repro.security.policy import AccessDenied, Action, Principal, SYSTEM_ROLE
 from repro.serving.scheduler import Request
@@ -136,8 +136,22 @@ class Session:
 
     def _search_impl(self, query: str, top_k: int) -> QueryResult:
         app = self._app
+        # Open sessions share the SQL result-cache tier (docs/CACHING.md):
+        # an answer is valid while the text-index generation it read is
+        # current.  Policy sessions never touch it — every grant must be
+        # audited, and cached hits must not outlive a policy change.
+        cache = app.caches if self._secure is None and app.caches.enabled else None
+        entry = None
         with app.telemetry.span("query.search", query=query) as span:
-            if self._secure is None:
+            if cache is not None:
+                epoch = cache.epoch
+                generation = app.indexes.text.generation
+                key = ("search", query, top_k)
+                entry = cache.results.lookup(key, generation)
+            if entry is not None:
+                span.tag("cache", "hit")
+                hits = copy_hits(entry.hits)
+            elif self._secure is None:
                 hits = KeywordSearch(app).search(query, top_k=top_k)
             else:
                 # The policy path: SecureSession.search applies QUERY
@@ -145,7 +159,16 @@ class Session:
                 hits = self._secure.search(query, top_k=top_k)
             span.tag("hits", len(hits))
         app.telemetry.inc("query.search")
-        return app._flag_degradation(QueryResult.from_hits(hits, trace=span.record()))
+        result = QueryResult.from_hits(hits, trace=span.record())
+        if entry is not None:
+            result.cached = True  # search is unpriced: no sim-ms either way
+        elif cache is not None and cache.epoch == epoch and cache.can_admit_results():
+            # Same admission guards as SQL: nothing invalidated while we
+            # ran, and no segment missing (degraded answers never cached).
+            cache.results.store(
+                key, result.rows, frozenset(), 0.0, hits=copy_hits(hits), generation=generation
+            )
+        return app._flag_degradation(result)
 
     def sql(
         self,

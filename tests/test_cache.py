@@ -21,9 +21,12 @@ from repro.cache import (
 from repro.chaos.plan import FaultEvent, FaultKind, FaultPlan
 from repro.core.appliance import Impliance
 from repro.core.config import ApplianceConfig
+from repro.index.manager import IndexManager
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
 from repro.query.engine import LocalRepository, QueryEngine
+from repro.query.keyword import KeywordHit, KeywordSearch
+from repro.security.policy import AccessPolicy, Action, Principal, Rule
 from repro.storage.store import DocumentStore
 
 
@@ -154,6 +157,47 @@ class TestResultCache:
         cache.store("f", ROWS, frozenset(), 0.0)  # same key, same rows
         assert cache.stats.bytes == before
         assert cache.entry_count == 1
+
+    def test_generation_validated_at_lookup_and_overwritten_in_place(self):
+        cache = ResultCache(capacity=4, byte_capacity=10_000)
+        key = ("search", "refund", 10)
+        hits = [KeywordHit("d1", 1.5)]
+        cache.store(key, ROWS, frozenset(), 0.0, hits=hits, generation=7)
+        assert cache.lookup(key, 7).hits is hits
+        assert cache.lookup(key, 8) is None          # stale: a miss ...
+        assert key in cache                          # ... that stays put
+        cache.store(key, ROWS, frozenset(), 0.0, hits=hits, generation=8)
+        assert cache.entry_count == 1                # overwritten, not re-keyed
+        assert cache.lookup(key, 7) is None and cache.lookup(key, 8) is not None
+        stats = cache.stats
+        assert (stats.search_hits, stats.search_misses) == (2, 2)
+        assert (stats.hits, stats.misses) == (0, 0)  # SQL counters untouched
+
+    def test_sql_lookups_do_not_count_as_search(self):
+        cache = ResultCache(capacity=4, byte_capacity=10_000)
+        cache.store("f", ROWS, frozenset({"orders"}), 0.0)
+        cache.lookup("f")
+        cache.lookup("g")
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert (cache.stats.search_hits, cache.stats.search_misses) == (0, 0)
+
+    def test_search_entries_survive_table_invalidation_not_flushes(self):
+        cache = ResultCache(capacity=4, byte_capacity=10_000)
+        key = ("search", "refund", 10)
+        cache.store(key, ROWS, frozenset(), 0.0, hits=[], generation=1)
+        cache.invalidate_table("orders")  # the generation covers this write
+        assert key in cache
+        cache.flush()                     # node events still drop everything
+        assert key not in cache
+
+    def test_search_entries_charge_their_documents(self):
+        cache = ResultCache(capacity=4, byte_capacity=10_000)
+        document = from_relational_row("o1", "orders", {"oid": 1, "note": "x" * 500})
+        cache.store("bare", ROWS, frozenset(), 0.0)
+        bare = cache.stats.bytes
+        cache.store(("search", "x", 10), ROWS, frozenset(), 0.0,
+                    hits=[KeywordHit("o1", 1.0, document)], generation=1)
+        assert cache.stats.bytes == 2 * bare + document.size_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +512,185 @@ class TestApplianceCaching:
         mv.rows()
         app.fail_node(app.cluster.data_nodes[0].node_id)
         assert not mv.is_fresh
+
+
+# ---------------------------------------------------------------------------
+# keyword search on the result tier (open sessions only)
+# ---------------------------------------------------------------------------
+def _search_app(**config) -> Impliance:
+    app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1, **config))
+    app.ingest_many(
+        [{"oid": i, "note": f"refund request {i} widget"} for i in range(12)],
+        table="orders",
+    )
+    return app
+
+
+def _ranking(result):
+    return [(h.doc_id, h.score, h.via_annotation) for h in result.hits]
+
+
+def _projected_add(app):
+    app.indexes.text.add_projected("p1", {"refund": [0, 2], "late": [1]}, 3)
+
+
+def _deferred_apply(app):
+    # Queued puts leave the index (and every cached answer) as it was;
+    # applying them is the mutation.
+    manager = app.indexes
+    manager.deferred = True
+    generation = manager.text.generation
+    document = from_relational_row("o77", "orders", {"oid": 77, "note": "refund deferred"})
+    manager._on_put_batch([(document, None)])
+    assert manager.pending_count == 1 and manager.text.generation == generation
+    assert app.search("refund").cached is app.caches.enabled
+    assert manager.apply_pending() == 1
+
+
+ROUTES = {
+    "ingest": lambda app: app.ingest({"oid": 50, "note": "late refund"}, table="orders"),
+    "ingest_many": lambda app: app.ingest_many(
+        [{"oid": 60 + i, "note": "bulk refund"} for i in range(3)], table="orders"),
+    "update": lambda app: app.update_document(
+        app.search("refund").hits[0].doc_id, {"orders": {"oid": 0, "note": "settled"}}),
+    "delete": lambda app: app.delete_document(app.search("refund").hits[0].doc_id),
+    "text.add": lambda app: app.indexes.text.add("x1", "one more refund"),
+    "text.add_projected": _projected_add,
+    "text.remove": lambda app: app.indexes.text.remove(app.search("refund").hits[0].doc_id),
+    "text.rebuild": lambda app: app.indexes.text.rebuild([("r1", "refund"), ("r2", "widget")]),
+    "manager.rebuild_from": lambda app: app.indexes.rebuild_from(
+        app.cluster.data_nodes[0].store),
+    "manager.apply_pending": _deferred_apply,
+}
+
+
+class TestSearchCaching:
+    def test_repeat_search_is_a_free_hit(self):
+        app = _search_app()
+        first = app.search("refund")
+        second = app.search("refund")
+        assert not first.cached and second.cached
+        assert _ranking(second) == _ranking(first) and second.rows == first.rows
+        assert [h.document for h in second.hits] == [h.document for h in first.hits]
+        assert second.sim_ms == 0.0  # search is unpriced, hit or miss
+        stats = app.stats()
+        assert stats["cache"]["result"]["search_hits"] == 1
+        assert stats["cache"]["result"]["search_misses"] == 1
+        assert stats["cache"]["result"]["hits"] == stats["cache"]["result"]["misses"] == 0
+        assert stats["counters"]["cache.result.hits.search"] == 1
+        assert stats["counters"]["cache.result.misses.search"] == 1
+        assert "cache.result.hits" not in stats["counters"]
+        assert app.caches.results.entry_count == 1
+
+    def test_top_k_is_part_of_the_key(self):
+        app = _search_app()
+        app.search("refund", top_k=3)
+        wide = app.search("refund", top_k=5)
+        assert not wide.cached and len(wide.hits) == 5
+        assert len(app.search("refund", top_k=3).hits) == 3
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_every_index_mutation_is_a_miss_overwritten_in_place(self, route):
+        app = _search_app()
+        twin = _search_app(cache=CacheConfig(enabled=False))
+        app.search("refund")
+        assert app.search("refund").cached
+        entries = app.caches.results.entry_count
+        for side in (app, twin):
+            ROUTES[route](side)
+        after = app.search("refund")
+        assert not after.cached
+        assert _ranking(after) == _ranking(twin.search("refund"))
+        assert app.caches.results.entry_count == entries  # no second entry
+        assert app.search("refund").cached
+
+    def test_discovery_folding_invalidates(self):
+        config = dict(product_lexicon=("WidgetPro",))
+        app, twin = _search_app(**config), _search_app(cache=CacheConfig(enabled=False), **config)
+        for side in (app, twin):
+            side.ingest("the widgetpro keeps crashing", "text", doc_id="t1")
+        before = app.search("widgetpro")
+        assert app.search("widgetpro").cached and not app.search("mention").hits
+        for side in (app, twin):
+            assert side.discover() > 0
+        after = app.search("widgetpro")
+        assert not after.cached
+        assert _ranking(after) == _ranking(twin.search("widgetpro")) != _ranking(before)
+        folded = app.search("mention")  # only the annotation says "mention"
+        assert not folded.cached and _ranking(folded) == _ranking(twin.search("mention"))
+        assert folded.hits[0].doc_id == "t1" and folded.hits[0].via_annotation
+
+    def test_degraded_answers_are_never_admitted(self, monkeypatch):
+        app = _search_app()
+        monkeypatch.setattr(Impliance, "missing_segments", lambda self: 3)
+        result = app.search("refund")
+        assert result.degraded and not result.cached
+        assert app.caches.results.entry_count == 0
+        assert not app.search("refund").cached
+
+    def test_node_events_flush_search_entries(self):
+        app = _search_app()
+        app.search("refund")
+        app.fail_node(app.cluster.data_nodes[0].node_id)
+        assert app.caches.results.entry_count == 0
+
+    def test_mid_search_invalidation_blocks_admission(self, monkeypatch):
+        app = _search_app()
+        original = KeywordSearch.search
+
+        def racing(self, *args, **kwargs):
+            hits = original(self, *args, **kwargs)
+            app.caches.bus.publish_node_event("n", "crash")  # epoch moves mid-flight
+            return hits
+
+        monkeypatch.setattr(KeywordSearch, "search", racing)
+        assert app.search("refund").hits
+        assert app.caches.results.entry_count == 0
+
+    def test_policy_sessions_never_read_or_write_the_tier(self):
+        app = _search_app()
+        policy = AccessPolicy([Rule("all", ("analyst",), (Action.READ, Action.QUERY))])
+        scoped = app.connect(Principal("alice", ("analyst",)), policy=policy)
+        assert scoped.search("refund").hits and not scoped.search("refund").cached
+        assert app.caches.results.entry_count == 0      # never written
+        warm = app.search("refund")
+        before = dict(app.stats()["cache"]["result"])
+        again = scoped.search("refund")
+        assert not again.cached and _ranking(again) == _ranking(warm)
+        assert app.stats()["cache"]["result"] == before  # never read
+        grants = [r for r in scoped.audit.accesses_by("alice") if r.action is Action.QUERY]
+        assert len(grants) == 3 * len(warm.hits)         # every search audited
+
+    def test_callers_cannot_corrupt_the_cached_answer(self):
+        app = _search_app()
+        first = app.search("refund")
+        want = _ranking(first)
+        for result in (first, app.search("refund")):  # the admitted one, then a hit
+            result.hits[0].score = -1.0
+            result.hits[0].doc_id = "tampered"
+            result.rows[0]["score"] = -1.0
+            result.hits.clear()
+            fresh = app.search("refund")
+            assert fresh.cached and _ranking(fresh) == want
+            assert fresh.rows == [{"doc_id": d, "score": s} for d, s, _ in want]
+
+    def test_disabled_cache_is_a_noop_for_search(self):
+        app = _search_app(cache=CacheConfig(enabled=False))
+        assert _ranking(app.search("refund")) == _ranking(app.search("refund"))
+        assert not app.search("refund").cached
+        result = app.stats()["cache"]["result"]
+        assert result["entries"] == 0
+        assert result["search_hits"] == result["search_misses"] == 0
+        assert result["hits"] == result["misses"] == 0
+
+    def test_deferred_index_generation_moves_only_when_applied(self):
+        store = DocumentStore()
+        manager = IndexManager(store, deferred=True)
+        generation = manager.text.generation
+        store.put(from_relational_row("o1", "orders", {"oid": 1, "note": "refund"}))
+        assert manager.text.generation == generation  # queued, index untouched
+        manager.apply_pending()
+        applied = manager.text.generation
+        assert applied != generation
+        manager.rebuild_from(store)  # a new index object, never an old generation
+        assert manager.text.generation not in (generation, applied)

@@ -184,6 +184,27 @@ class TestSecureSession:
         hits = session.search("announcement")
         assert [h.doc_id for h in hits] == ["m1"]
 
+    def test_search_audits_one_read_per_candidate(self, secured_app):
+        # One fetch per candidate: the top-k used to be read (and audited)
+        # a second time through SecureSession.lookup.
+        app, policy = secured_app
+        app.ingest_text("second public announcement", doc_id="m2")
+        app.ingest_row("salaries", {"emp": 2, "note": "announcement"}, doc_id="s2")
+        session = app.connect(Principal("alice", ["analyst"]), policy=policy)
+        hits = session.search("announcement").hits
+        assert sorted(h.doc_id for h in hits) == ["m1", "m2"]
+        assert all(h.document is not None for h in hits)
+        records = session.audit.accesses_by("alice")
+        reads = [(r.doc_id, r.granted) for r in records if r.action is Action.READ]
+        assert sorted(reads) == [("m1", True), ("m2", True), ("s2", False)]
+        grants = [r for r in records if r.action is Action.QUERY]
+        assert sorted(r.doc_id for r in grants) == ["m1", "m2"]
+        assert all(r.granted and r.context == "search:announcement" for r in grants)
+        # ... per search: a repeat audits again (policy sessions are never
+        # served from the result cache).
+        assert not session.search("announcement").cached
+        assert len(session.audit.accesses_by("alice")) == 2 * len(records)
+
     def test_sql_scoped_to_visible_documents(self, secured_app):
         app, policy = secured_app
         session = app.secure_session(Principal("alice", ["analyst"]), policy)

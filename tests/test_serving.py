@@ -107,6 +107,12 @@ class TestSessions:
         with pytest.raises(RuntimeError):
             s.search("widgetpro")
 
+    def test_connect_rejects_a_non_principal_at_the_boundary(self, loaded_app):
+        # Used to surface as an AttributeError deep in Session.__init__.
+        with pytest.raises(TypeError, match="Principal"):
+            loaded_app.connect(principal="alice")
+        assert loaded_app.connect().principal.name == "default"
+
     def test_default_qos_comes_from_config(self, loaded_app):
         s = loaded_app.connect(principal=Principal("p", ("user",)))
         assert s.qos == loaded_app.config.serving.default_qos
@@ -363,6 +369,34 @@ class TestWorkloadDriver:
     def test_driver_is_deterministic(self):
         a, b = self._run().to_dict(), self._run().to_dict()
         assert a == b
+
+    def test_mixed_replay_runs_every_kind_without_errors(self):
+        # The SQL third of the replay used to die on a TypeError the
+        # driver swallowed (a missing _sql_impl argument).
+        app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
+        spec = TenantSpec(
+            "cc", sessions=4, requests_per_session=12,
+            arrival=ArrivalSpec(process="closed", think_ms=5.0),
+            mix={"search": 1.0, "sql": 1.0, "faceted": 1.0},
+        )
+        before = app.stats()["counters"]
+        report = WorkloadDriver(app, [spec], seed=3).run(duration_ms=2_000.0)
+        after = app.stats()["counters"]
+        assert report.errors == 0 and report.errors_by_class == {}
+        assert report.completed == report.offered == 48
+        # (faceted sessions keep no counter; completed == offered covers them)
+        for counter in ("query.sql", "query.search"):
+            assert after.get(counter, 0) > before.get(counter, 0), counter
+
+    def test_failures_are_recorded_by_exception_class(self):
+        app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
+        spec = TenantSpec("cc", corpus="callcenter", mix={"sql": 1.0})
+        driver = WorkloadDriver(app, [spec], seed=3)
+        driver._queries["callcenter"]["sqls"] = ["SELECT * FROM no_such_view"]
+        report = driver.run(duration_ms=200.0)
+        assert report.errors == report.offered > 0
+        assert sum(report.errors_by_class.values()) == report.errors
+        assert report.to_dict()["errors_by_class"] == report.errors_by_class
 
     def test_driver_rejects_bad_specs(self):
         app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))

@@ -1,8 +1,16 @@
 """Unit tests for the inverted text index: BM25, phrases, maintenance."""
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.index.text import InvertedIndex, tokenize, tokenize_with_positions
+from repro.model.annotations import Annotation, make_annotation_document
+from repro.model.converters import from_text
+from repro.query.engine import LocalRepository
+from repro.query.keyword import KeywordSearch
+from repro.storage.store import DocumentStore
 
 
 class TestTokenize:
@@ -133,3 +141,152 @@ class TestMaintenance:
         assert index.document_frequency("fox") == 2
         assert index.document_frequency("FOX") == 2
         assert index.document_frequency("zebra") == 0
+
+
+# ----------------------------------------------------------------------
+# the inlined scoring loop against the _idf/_bm25 reference
+# ----------------------------------------------------------------------
+VOCAB = ("refund", "widget", "crash", "review", "late", "order", "gold", "x9")
+texts = st.lists(st.sampled_from(VOCAB + ("the", "and")), min_size=0, max_size=12).map(" ".join)
+corpus_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 15), texts),
+        st.tuples(st.just("add_projected"), st.integers(0, 15), texts),
+        st.tuples(st.just("remove"), st.integers(0, 15)),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def _reference_search(index, query, top_k, candidates=None):
+    """``InvertedIndex.search`` as it was before the loop was inlined:
+    one ``_idf`` per term, one ``_bm25`` method call per posting."""
+    scores = defaultdict(float)
+    for term in set(tokenize(query)):
+        idf = index._idf(term)
+        if idf == 0.0:
+            continue
+        for doc_id in index._postings.get(term, {}):
+            if candidates is not None and doc_id not in candidates:
+                continue
+            scores[doc_id] += index._bm25(term, doc_id, idf)
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[:top_k]
+
+
+def _build(operations):
+    index = InvertedIndex()
+    for op in operations:
+        doc_id = f"d{op[1]}"
+        if op[0] == "add":
+            index.add(doc_id, op[2])
+        elif op[0] == "add_projected":
+            positions = {}
+            for token, position in tokenize_with_positions(op[2]):
+                positions.setdefault(token, []).append(position)
+            index.add_projected(doc_id, positions, sum(map(len, positions.values())))
+        else:
+            index.remove(doc_id)
+    return index
+
+
+class TestInlinedScoring:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        operations=corpus_ops,
+        query=st.lists(st.sampled_from(VOCAB + ("the", "absent")), min_size=1, max_size=5),
+        top_k=st.integers(1, 20),
+        restrict=st.one_of(st.none(), st.sets(st.integers(0, 15))),
+    )
+    def test_scores_equal_the_reference_bit_for_bit(self, operations, query, top_k, restrict):
+        index = _build(operations)
+        candidates = None if restrict is None else {f"d{n}" for n in restrict}
+        got = [(h.doc_id, h.score) for h in index.search(" ".join(query), top_k, candidates)]
+        # == on floats, no tolerance: same expression, same order
+        assert got == _reference_search(index, " ".join(query), top_k, candidates)
+
+    def test_reference_on_the_fixture(self, index):
+        for query in ("quick fox", "brown", "brown brown fence turtle", "the"):
+            got = [(h.doc_id, h.score) for h in index.search(query)]
+            assert got == _reference_search(index, query, 10)
+
+
+class TestGeneration:
+    def test_every_mutation_changes_it_and_reads_do_not(self, index):
+        seen = {index.generation}
+
+        def moved():
+            changed = index.generation not in seen
+            seen.add(index.generation)
+            return changed
+
+        index.add("d4", "new fox")
+        assert moved()
+        index.add("d4", "replaced fox")
+        assert moved()
+        index.add_projected("d5", {"fox": [0]}, 1)
+        assert moved()
+        index.remove("d5")
+        assert moved()
+        index.remove("never-indexed")  # a no-op leaves every score alone
+        assert not moved()
+        index.search("fox")
+        index.match_all("fox")
+        index.match_phrase("quick fox")
+        assert not moved()
+        index.rebuild([])
+        assert moved()
+
+    def test_generations_are_never_shared_between_indexes(self):
+        a, b = InvertedIndex(), InvertedIndex()
+        assert a.generation != b.generation
+        a.add("d", "x")
+        b.add("d", "x")
+        assert a.generation != b.generation
+
+
+class _CountingRepository:
+    def __init__(self, repository):
+        self._repository = repository
+        self.indexes = repository.indexes
+        self.lookups = []
+
+    def lookup(self, doc_id):
+        self.lookups.append(doc_id)
+        return self._repository.lookup(doc_id)
+
+
+class TestSingleFetch:
+    @pytest.fixture
+    def repo(self):
+        store = DocumentStore()
+        repository = LocalRepository(store)
+        store.put_listeners.append(lambda d, a: repository.indexes.index_document(d))
+        store.put(from_text("t1", "the widget assembly broke during testing"))
+        store.put(from_text("t2", "widget shipment delayed"))
+        store.put(from_text("t3", "gadget sales exceeded forecast"))
+        annotation = Annotation(
+            annotator="product", label="product_mention", subject_id="t3",
+            payload={"product": "special identifier xyzzy"},
+        )
+        store.put(make_annotation_document("ann-1", annotation))
+        return _CountingRepository(repository)
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("widget", ["t1", "t2"]),           # plain candidates
+            ("xyzzy", ["ann-1", "t3"]),         # folded subject fetched in the top-k pass
+            ("gadget xyzzy", ["ann-1", "t3"]),  # subject is itself a candidate: no refetch
+        ],
+    )
+    def test_one_lookup_per_distinct_document(self, repo, query, expected):
+        hits = KeywordSearch(repo).search(query)
+        assert sorted(repo.lookups) == expected
+        assert all(hit.document is not None and hit.document.doc_id == hit.doc_id
+                   for hit in hits)
+
+    def test_no_fetch_still_reads_candidates_once(self, repo):
+        hits = KeywordSearch(repo).search("gadget xyzzy", fetch=False)
+        assert sorted(repo.lookups) == ["ann-1", "t3"]
+        assert [h.document for h in hits] == [None]
