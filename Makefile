@@ -24,6 +24,8 @@ smoke:
 chaos-smoke:
 	$(PYTHON) benchmarks/bench_chaos_availability.py --quick
 
+# Native columnar scan vs the document-transpose scan, both through the
+# one engine (writes BENCH_exec.json).
 exec-smoke:
 	$(PYTHON) benchmarks/bench_exec_vectorized.py --quick
 
@@ -64,14 +66,14 @@ recovery-smoke:
 recovery-test:
 	$(PYTHON) -m pytest -m recovery -q
 
-# Compiled pipelines + mid-query re-optimization (docs/ADAPTIVE.md):
-# stale-stats gap closure, degraded-node escape, and the compiled-vs-
-# interpreted wall-clock win (writes BENCH_adaptive.json).
+# Mid-query re-optimization (docs/ADAPTIVE.md): stale-stats gap
+# closure, zero re-plans on fresh statistics, and the degraded-node
+# escape (writes BENCH_adaptive.json).
 adaptive-smoke:
 	$(PYTHON) benchmarks/bench_adaptive.py --quick
 
 # The adaptive-marked property tests on their own (compiled + adaptive
-# execution equivalence, including chaos penalties).
+# execution ≡ the row oracle, including chaos penalties).
 adaptive-test:
 	$(PYTHON) -m pytest -m adaptive -q
 
@@ -94,7 +96,7 @@ coverage:
 	$(PYTHON) tools/coverage_gate.py
 
 # Tier-1 gate: lint, the full unit suite, an end-to-end pipeline smoke,
-# a fast fault-injection/availability smoke, the vectorized-engine
+# a fast fault-injection/availability smoke, the columnar-scan
 # speedup smoke (writes BENCH_exec.json), the cache-hierarchy speedup
 # smoke (writes BENCH_cache.json), the batched-ingest speedup smoke
 # (writes BENCH_ingest.json), the multi-tenant serving smoke (writes
@@ -103,10 +105,10 @@ coverage:
 # (writes BENCH_ivm.json), the columnar stored-bytes smoke (writes
 # BENCH_storage.json), and the point-in-time recovery smoke asserting
 # RPO=0 under a mid-ingest crash (writes BENCH_recovery.json), the
-# adaptive-marked equivalence properties, the compiled-pipeline /
-# re-optimization smoke (writes BENCH_adaptive.json), the end-to-end
-# benchmark's check + quick round, and the perf-regression gate over
-# the committed headline speedups.
+# adaptive-marked equivalence properties, the re-optimization smoke
+# (writes BENCH_adaptive.json), the end-to-end benchmark's check +
+# quick round, and the perf-regression gate over the committed
+# headline speedups.
 verify: lint test smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-test ivm-smoke storage-smoke recovery-smoke adaptive-test adaptive-smoke e2e-smoke perf-regress
 
 bench:

@@ -1,23 +1,21 @@
-"""EXEC — vectorized (ColumnBatch) engine vs the legacy row engine.
+"""EXEC — the native columnar scan vs the document-transpose scan.
 
-Claims reproduced:
-(1) batch-at-a-time execution of the scan → filter → group-aggregate
-    pipeline sustains at least 2× the rows/sec of the row-at-a-time
-    interpreter on the same repository (Python pays its per-row dict and
-    dispatch overhead once per batch instead of once per row);
-(2) both engines return byte-identical rows and charge identical
-    simulated cost — the speedup is real wall-clock, not a cost-model
-    artifact;
-(3) the native columnar scan (docs/STORAGE.md) sustains at least 3× the
-    rows/sec of the pre-refactor transpose scan on scan-heavy shapes —
-    batches come straight off compressed column pages instead of being
-    transposed out of per-document trees — again with identical rows and
-    identical simulated cost.
+Claim reproduced: the native columnar scan (docs/STORAGE.md) sustains at
+least 3× the rows/sec of the transpose scan on scan-heavy shapes —
+batches come straight off compressed column pages instead of being
+transposed out of per-document trees — with identical rows and identical
+simulated cost.  Both sides are live in ``QueryEngine._view_batches``:
+repositories without column pages (snapshots, non-columnar views) still
+take the transpose path.
+
+(The vectorized-vs-row-engine claims this file used to carry went with
+the row engine; compiled pipelines are the only execution path and are
+checked against ``tests/oracle/row_engine.py`` for equality, not speed.)
 
 Results land in ``BENCH_exec.json`` at the repo root so the performance
 trajectory is tracked across revisions.  Runs standalone too:
-``python benchmarks/bench_exec_vectorized.py --quick`` is the vectorized
-smoke target ``make verify`` uses.
+``python benchmarks/bench_exec_vectorized.py --quick`` is the
+``exec-smoke`` target ``make verify`` uses.
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ from conftest import once, print_table
 
 SEED = 23
 N_ORDERS = 20_000
-QUERY = (
-    "SELECT region, count(*) AS n, sum(amount) AS total, avg(amount) AS a"
-    " FROM orders WHERE amount > 50 GROUP BY region"
-)
 #: Scan-heavy shape: projection + cheap aggregate, no filter — wall clock
 #: is dominated by how rows get from pages into batches.
 SCAN_QUERY = "SELECT region, count(*) AS n FROM orders GROUP BY region"
@@ -49,11 +43,11 @@ RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_exec.json")
 
 
 class TransposeRepository:
-    """Pre-refactor view of a repository: no native columnar scan.
+    """A repository without the native columnar scan.
 
     Hiding ``view_column_batches`` forces the engine onto the
-    document-transpose path, which is exactly what every scan paid before
-    the native column pages existed — the baseline for claim (3).
+    document-transpose path, which is what every scan paid before the
+    native column pages existed — the baseline of the claim.
     """
 
     def __init__(self, inner: LocalRepository) -> None:
@@ -84,15 +78,13 @@ def build_repo(n_orders: int = N_ORDERS) -> LocalRepository:
     return repo
 
 
-def _time_engine(
-    engine: QueryEngine, n_rows: int, repeats: int, query: str = QUERY
-) -> dict:
-    """Best-of-*repeats* wall clock for *query*; returns timing + the rows."""
+def _time_engine(engine: QueryEngine, n_rows: int, repeats: int) -> dict:
+    """Best-of-*repeats* wall clock for the scan query; timing + the rows."""
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = engine.sql(query)
+        result = engine.sql(SCAN_QUERY)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
     return {
@@ -104,59 +96,24 @@ def _time_engine(
 
 
 def run_comparison(n_orders: int = N_ORDERS, repeats: int = 3) -> dict:
+    """Native columnar scan vs the transpose scan, same engine."""
     repo = build_repo(n_orders)
-    vectorized = _time_engine(QueryEngine(repo), n_orders, repeats)
-    legacy = _time_engine(QueryEngine(repo, vectorized=False), n_orders, repeats)
-    assert vectorized["rows"] == legacy["rows"], "engines disagree on rows"
-    assert vectorized["sim_ms"] == pytest.approx(legacy["sim_ms"]), (
-        "engines disagree on simulated cost"
-    )
-    summary = {
-        "n_orders": n_orders,
-        "query": QUERY,
-        "vectorized": {k: v for k, v in vectorized.items() if k != "rows"},
-        "row_engine": {k: v for k, v in legacy.items() if k != "rows"},
-        "speedup": vectorized["rows_per_sec"] / legacy["rows_per_sec"],
-        "groups": len(vectorized["rows"]),
-    }
-    summary["columnar"] = run_scan_comparison(repo, n_orders, repeats)
-    return summary
-
-
-def run_scan_comparison(repo: LocalRepository, n_orders: int, repeats: int) -> dict:
-    """Claim (3): native columnar scan vs the pre-refactor transpose scan."""
-    native = _time_engine(QueryEngine(repo), n_orders, repeats, SCAN_QUERY)
-    transpose = _time_engine(
-        QueryEngine(TransposeRepository(repo)), n_orders, repeats, SCAN_QUERY
-    )
+    native = _time_engine(QueryEngine(repo), n_orders, repeats)
+    transpose = _time_engine(QueryEngine(TransposeRepository(repo)), n_orders, repeats)
     assert native["rows"] == transpose["rows"], "scan paths disagree on rows"
     assert native["sim_ms"] == pytest.approx(transpose["sim_ms"]), (
         "scan paths disagree on simulated cost"
     )
     return {
-        "query": SCAN_QUERY,
-        "native": {k: v for k, v in native.items() if k != "rows"},
-        "transpose": {k: v for k, v in transpose.items() if k != "rows"},
-        "speedup": native["rows_per_sec"] / transpose["rows_per_sec"],
-        "groups": len(native["rows"]),
+        "n_orders": n_orders,
+        "columnar": {
+            "query": SCAN_QUERY,
+            "native": {k: v for k, v in native.items() if k != "rows"},
+            "transpose": {k: v for k, v in transpose.items() if k != "rows"},
+            "speedup": native["rows_per_sec"] / transpose["rows_per_sec"],
+            "groups": len(native["rows"]),
+        },
     }
-
-
-def report_rows(summary: dict) -> list:
-    return [
-        [
-            "vectorized",
-            f"{summary['vectorized']['rows_per_sec']:,.0f}",
-            f"{summary['vectorized']['elapsed_s'] * 1e3:.1f}",
-            f"{summary['vectorized']['sim_ms']:.2f}",
-        ],
-        [
-            "row-at-a-time",
-            f"{summary['row_engine']['rows_per_sec']:,.0f}",
-            f"{summary['row_engine']['elapsed_s'] * 1e3:.1f}",
-            f"{summary['row_engine']['sim_ms']:.2f}",
-        ],
-    ]
 
 
 def columnar_report_rows(columnar: dict) -> list:
@@ -178,12 +135,6 @@ def columnar_report_rows(columnar: dict) -> list:
 
 def print_report(summary: dict, n_orders: int) -> None:
     print_table(
-        "EXEC: scan -> filter -> group-aggregate, %d rows" % n_orders,
-        ["engine", "rows/sec", "wall ms", "sim ms"],
-        report_rows(summary),
-    )
-    print(f"speedup: {summary['speedup']:.2f}x")
-    print_table(
         "EXEC: scan-heavy shape, native columnar vs transpose, %d rows" % n_orders,
         ["scan path", "rows/sec", "wall ms", "sim ms"],
         columnar_report_rows(summary["columnar"]),
@@ -197,14 +148,7 @@ def write_results(summary: dict, path: str = RESULT_PATH) -> None:
         fh.write("\n")
 
 
-def assert_claims(
-    summary: dict, min_speedup: float = 2.0, min_columnar_speedup: float = 3.0
-) -> None:
-    assert summary["groups"] > 0, "query produced no groups"
-    assert summary["speedup"] >= min_speedup, (
-        f"vectorized engine only {summary['speedup']:.2f}x over the row engine"
-        f" (claim: >= {min_speedup}x)"
-    )
+def assert_claims(summary: dict, min_columnar_speedup: float = 3.0) -> None:
     columnar = summary["columnar"]
     assert columnar["groups"] > 0, "scan query produced no groups"
     assert columnar["speedup"] >= min_columnar_speedup, (
@@ -214,7 +158,7 @@ def assert_claims(
 
 
 @pytest.mark.benchmark(group="exec")
-def test_vectorized_speedup_report(benchmark):
+def test_columnar_scan_speedup_report(benchmark):
     summary = once(benchmark, run_comparison)
     print_report(summary, summary["n_orders"])
     write_results(summary)
@@ -240,7 +184,7 @@ def main() -> int:
     print_report(summary, n_orders)
     write_results(summary, args.out)
     assert_claims(summary)
-    print("\nEXEC vectorized smoke: OK (results in BENCH_exec.json)")
+    print("\nEXEC columnar-scan smoke: OK (results in BENCH_exec.json)")
     return 0
 
 

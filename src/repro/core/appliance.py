@@ -10,7 +10,6 @@ engine, execution management, storage management, and rolling upgrades.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.cache import CacheHierarchy
@@ -61,7 +60,7 @@ class Impliance:
     """One appliance instance — operational out of the box.
 
     >>> app = Impliance()
-    >>> app.ingest_text("hello world, the widget is great")
+    >>> app.ingest("hello world, the widget is great")
     >>> app.discover()
     >>> hits = app.search("widget")
 
@@ -107,7 +106,6 @@ class Impliance:
         self.engine = QueryEngine(
             self,
             telemetry=self.telemetry,
-            vectorized=self.config.vectorized,
             batch_size=self.config.batch_size,
             cache=self.caches,
             adaptive_config=self.config.adaptive,
@@ -450,60 +448,6 @@ class Impliance:
             span.tag("docs", report.stored)
         return report
 
-    def _shim_ingest(
-        self, old: str, hint: str, payload: Any, fmt: str, **kwargs: Any
-    ) -> Union[Document, List[Document]]:
-        """The one internal entry every deprecated ``ingest_*`` shim goes
-        through: warn once per call (attributed to the caller's caller),
-        then delegate to :meth:`ingest` — results are byte-identical to a
-        direct ``ingest(payload, fmt, ...)`` call."""
-        warnings.warn(
-            f"Impliance.{old}() is deprecated; use {hint}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return self.ingest(payload, fmt, **kwargs)
-
-    def ingest_row(
-        self,
-        table: str,
-        row: Mapping[str, Any],
-        primary_key: Optional[Sequence[str]] = None,
-        doc_id: Optional[str] = None,
-    ) -> Document:
-        """Deprecated: use :meth:`ingest` with ``table=``."""
-        return self._shim_ingest(
-            "ingest_row", "ingest(row, table=...)", row, "relational",
-            table=table, primary_key=primary_key, doc_id=doc_id,
-        )
-
-    def ingest_text(self, text: str, title: str = "", doc_id: Optional[str] = None) -> Document:
-        """Deprecated: use :meth:`ingest`."""
-        return self._shim_ingest(
-            "ingest_text", "ingest(text)", text, "text", title=title, doc_id=doc_id
-        )
-
-    def ingest_email(self, raw: str, doc_id: Optional[str] = None) -> Document:
-        """Deprecated: use :meth:`ingest`."""
-        return self._shim_ingest("ingest_email", "ingest(raw)", raw, "email", doc_id=doc_id)
-
-    def ingest_xml(self, payload: str, doc_id: Optional[str] = None) -> Document:
-        """Deprecated: use :meth:`ingest`."""
-        return self._shim_ingest("ingest_xml", "ingest(payload)", payload, "xml", doc_id=doc_id)
-
-    def ingest_csv(self, table: str, payload: str) -> List[Document]:
-        """Deprecated: use :meth:`ingest` with ``table=``."""
-        return self._shim_ingest(
-            "ingest_csv", "ingest(payload, table=...)", payload, "csv", table=table
-        )
-
-    def ingest_json(self, obj: Any, doc_id: Optional[str] = None,
-                    metadata: Optional[Mapping[str, Any]] = None) -> Document:
-        """Deprecated: use :meth:`ingest`."""
-        return self._shim_ingest(
-            "ingest_json", "ingest(obj)", obj, "json", doc_id=doc_id, metadata=metadata
-        )
-
     def update_document(self, doc_id: str, content: Any) -> Document:
         """Versioned update through the consistency group (never in
         place, Section 4)."""
@@ -659,8 +603,7 @@ class Impliance:
 
     # ------------------------------------------------------------------
     # query interfaces — thin shims over the implicit default session.
-    # Deprecation path (like the PR 5 ingest_* shims): prefer
-    # ``app.connect(...).search(...)``; these remain for existing
+    # Deprecation path: prefer ``app.connect(...).search(...)``; these remain for existing
     # callers and delegate verbatim — see docs/SERVING.md for the
     # migration guide.
     # ------------------------------------------------------------------

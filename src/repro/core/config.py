@@ -39,11 +39,7 @@ class ApplianceConfig:
     #: (``Impliance.telemetry`` / ``Impliance.stats()``).  When False the
     #: telemetry layer is a guaranteed no-op on every hot path.
     telemetry: bool = True
-    #: Execution engine: when True (the default) queries run on the
-    #: vectorized ColumnBatch interpreter; False keeps the legacy
-    #: row-at-a-time engine alive for comparison runs (docs/EXECUTION.md).
-    vectorized: bool = True
-    #: Rows per ColumnBatch on the vectorized path.
+    #: Rows per ColumnBatch in query execution (docs/EXECUTION.md).
     batch_size: int = 1024
     #: Cache hierarchy: per-tier size caps and the off switch
     #: (``CacheConfig(enabled=False)`` makes every tier a no-op).
@@ -58,8 +54,8 @@ class ApplianceConfig:
     #: Continuous replication / point-in-time recovery: snapshot cadence
     #: and the off switch (docs/RECOVERY.md).
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    #: Compiled pipelines + mid-query re-optimization: divergence
-    #: threshold, replan budget, and the off switches (docs/ADAPTIVE.md).
+    #: Mid-query re-optimization: divergence threshold, replan budget,
+    #: and the off switch (docs/ADAPTIVE.md).
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     #: Domain lexicons for the out-of-the-box annotator suite; empty
     #: tuples simply disable the corresponding lexicon annotator.

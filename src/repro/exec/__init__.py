@@ -8,8 +8,8 @@ node timelines and the network so experiments measure makespans and
 bytes on the wire.
 
 The operator vocabulary is vectorized: :class:`ColumnBatch` (struct-of-
-arrays) streams are the hot-path currency, with the original dict-row
-functions kept as the compatibility edge (see docs/EXECUTION.md).
+arrays) streams are the hot-path currency; the dict-row operators serve
+view maintenance and the grid-side stages (see docs/EXECUTION.md).
 """
 
 from repro.exec.batch import (
@@ -25,23 +25,15 @@ from repro.exec.operators import (
     AggregationTypeError,
     OperatorStats,
     Row,
-    filter_batches,
-    filter_rows,
     group_aggregate,
-    group_aggregate_batches,
     hash_join,
     hash_join_batches,
-    indexed_nl_join,
     merge_joined_row,
     merge_partial_aggregates,
     partial_aggregate,
-    project_batches,
-    project_rows,
-    selector_from_predicate,
     sort_batches,
     sort_rows,
     top_k,
-    top_k_batches,
 )
 from repro.exec.parallel import (
     BatchPartitions,
@@ -63,26 +55,18 @@ __all__ = [
     "batches_from_columns",
     "batches_from_rows",
     "rows_from_batches",
-    "filter_batches",
-    "group_aggregate_batches",
     "hash_join_batches",
     "merge_joined_row",
-    "project_batches",
-    "selector_from_predicate",
     "sort_batches",
-    "top_k_batches",
     "BatchPartitions",
     "AggSpec",
     "AggregationTypeError",
     "OperatorStats",
     "Row",
-    "filter_rows",
     "group_aggregate",
     "hash_join",
-    "indexed_nl_join",
     "merge_partial_aggregates",
     "partial_aggregate",
-    "project_rows",
     "sort_rows",
     "top_k",
     "ExecReport",

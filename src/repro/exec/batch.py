@@ -1,8 +1,8 @@
 """Columnar execution batches (the vectorized hot path's currency).
 
-The row engine interprets plans dict-row-at-a-time — the slowest possible
-shape for Python, where every row pays dict construction, per-key hashing,
-and per-row interpreter dispatch.  A :class:`ColumnBatch` is the standard
+Interpreting a plan dict-row-at-a-time is the slowest possible shape
+for Python: every row pays dict construction, per-key hashing, and
+per-row dispatch.  A :class:`ColumnBatch` is the standard
 fix: a struct-of-arrays slice of an intermediate result (column name →
 value list, one shared length), so operators pay their Python overhead
 once per *batch* and loop over plain lists for the per-row work.
@@ -13,12 +13,12 @@ Batches are null-aware in two distinct senses:
 * the :data:`MISSING` sentinel marks a key that was *absent* from the
   originating dict row.  Joins produce ragged rows — ``r_<col>`` rename
   columns exist only on collision rows — and the batch representation
-  must round-trip them exactly, or the vectorized engine would disagree
-  with the row engine on join output.  ``to_rows`` omits MISSING entries;
+  must round-trip them exactly, or batch joins would disagree with the
+  row reference on join output.  ``to_rows`` omits MISSING entries;
   ``column`` reads them as None (matching ``row.get``).
 
 The dict-row API stays at the edges: :func:`batches_from_rows` and
-:func:`rows_from_batches` are the adapters the legacy operator functions
+:func:`rows_from_batches` are the adapters the row operator functions
 and ``QueryResult.rows`` sit on.
 """
 

@@ -25,7 +25,6 @@ INDEX_PROBE_MS = 0.02              # one indexed-NL probe (random access)
 SORT_MS_PER_ROW_LOG = 0.0005       # multiplied by log2(n)
 AGG_MS_PER_ROW = 0.0008
 SEARCH_MS_PER_DOC_SCORED = 0.001   # BM25 scoring one candidate
-TOPK_MS_PER_ROW = 0.0003
 UPDATE_CPU_MS = 0.05               # apply one versioned update
 CACHE_LOOKUP_MS = 0.005            # serve a query from the result cache
 ANNOTATE_MS_PER_KB = 0.5           # text analytics are expensive

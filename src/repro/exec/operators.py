@@ -1,19 +1,23 @@
-"""Physical operators: the row vocabulary and its vectorized twins.
+"""Physical operators.
 
 The paper argues for "a simple planner that allows only a few limited
 choices of the underlying physical operators" (Section 3.3); this module
-is that limited operator vocabulary.  Two executions of each operator
-exist:
+is that limited operator vocabulary:
 
-* the original iterator-style functions over plain dict rows (kept as
-  the compatibility edge and the legacy engine), and
-* ``*_batches`` variants that operate on :class:`~repro.exec.batch.
-  ColumnBatch` streams batch-at-a-time — the vectorized hot path the
-  query engine and the distributed executor now run on.
+* batch operators over :class:`~repro.exec.batch.ColumnBatch` streams
+  (``hash_join_batches``, ``hash_join_swapped_batches``, ``sort_batches``,
+  :class:`GroupAggregator`) — what compiled pipelines
+  (:mod:`repro.query.compile`) run; filtering and projection have no
+  operator here, they are fused into the pipeline's per-batch closure;
+* row operators over plain dicts (``hash_join``, ``sort_rows``,
+  ``top_k``, ``group_aggregate`` and the partial/merge pair) — what
+  incremental view maintenance and the grid-side executor run on small
+  deltas and shipped partials, and what the test oracle interprets
+  plans with.
 
-Both keep row/batch statistics so the executor can charge simulated cost
-for the work they actually did, and both produce *identical* rows — the
-cross-engine property tests depend on it.
+All keep row/batch statistics so the executor can charge simulated cost
+for the work they actually did, and a batch operator produces rows
+*identical* to its row counterpart — the equivalence tests depend on it.
 
 Aggregation functions intentionally include the type guards motivated in
 Section 2.2 — summing a column that is not numeric raises instead of
@@ -24,16 +28,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.batch import ColumnBatch
 from repro.model.values import classify_value, coerce_numeric
 
 Row = Dict[str, Any]
-Predicate = Callable[[Row], bool]
-
-#: Vectorized predicate: batch → indices of the selected rows, in order.
-BatchSelector = Callable[[ColumnBatch], Sequence[int]]
 
 
 @dataclass
@@ -68,22 +68,6 @@ def merge_joined_row(joined: Row, match: Row) -> Row:
     return joined
 
 
-def filter_rows(rows: Iterable[Row], predicate: Predicate, stats: Optional[OperatorStats] = None) -> Iterator[Row]:
-    for row in rows:
-        if stats is not None:
-            stats.rows_in += 1
-        if predicate(row):
-            if stats is not None:
-                stats.rows_out += 1
-            yield row
-
-
-def project_rows(rows: Iterable[Row], columns: Sequence[str]) -> Iterator[Row]:
-    columns = list(columns)
-    for row in rows:
-        yield {c: row.get(c) for c in columns}
-
-
 def hash_join(
     left: Iterable[Row],
     right: Iterable[Row],
@@ -105,32 +89,6 @@ def hash_join(
         if stats is not None:
             stats.rows_in += 1
         for match in table.get(row.get(left_key), ()):
-            joined = merge_joined_row(dict(row), match)
-            if stats is not None:
-                stats.rows_out += 1
-            yield joined
-
-
-def indexed_nl_join(
-    left: Iterable[Row],
-    left_key: str,
-    probe: Callable[[Any], List[Row]],
-    stats: Optional[OperatorStats] = None,
-) -> Iterator[Row]:
-    """Indexed nested-loop join: probe an index for each left row.
-
-    "Given a keyword-search interface that requires only the top-k
-    results, indexed nested-loop joins may always be the preferred join
-    method" (Section 3.3) — because the left input is tiny, probes beat
-    building a hash table over the whole right side.
-    """
-    for row in left:
-        if stats is not None:
-            stats.rows_in += 1
-        key = row.get(left_key)
-        if key is None:
-            continue
-        for match in probe(key):
             joined = merge_joined_row(dict(row), match)
             if stats is not None:
                 stats.rows_out += 1
@@ -347,50 +305,6 @@ def _note_batch_out(stats: Optional[OperatorStats], batch: ColumnBatch) -> None:
         stats.rows_out += batch.length
 
 
-def selector_from_predicate(predicate: Predicate) -> BatchSelector:
-    """Adapt a dict-row predicate into a :data:`BatchSelector`.
-
-    The generic fallback for callers without a column-wise predicate —
-    it materializes rows, so prefer a native selector (e.g.
-    ``Conjunction.selector``) on hot paths.
-    """
-
-    def select(batch: ColumnBatch) -> List[int]:
-        return [i for i, row in enumerate(batch.to_rows()) if predicate(row)]
-
-    return select
-
-
-def filter_batches(
-    batches: Iterable[ColumnBatch],
-    selector: BatchSelector,
-    stats: Optional[OperatorStats] = None,
-) -> Iterator[ColumnBatch]:
-    """Vectorized filter: *selector* picks surviving row indices per batch."""
-    for batch in batches:
-        _note_batch_in(stats, batch)
-        indices = selector(batch)
-        if not indices:
-            continue
-        out = batch if len(indices) == batch.length else batch.take(indices)
-        _note_batch_out(stats, out)
-        yield out
-
-
-def project_batches(
-    batches: Iterable[ColumnBatch],
-    columns: Sequence[str],
-    stats: Optional[OperatorStats] = None,
-) -> Iterator[ColumnBatch]:
-    """Vectorized projection — O(columns) per batch, not O(rows)."""
-    columns = list(columns)
-    for batch in batches:
-        _note_batch_in(stats, batch)
-        out = batch.select_columns(columns)
-        _note_batch_out(stats, out)
-        yield out
-
-
 def hash_join_batches(
     probe_batches: Iterable[ColumnBatch],
     build_batches: Iterable[ColumnBatch],
@@ -503,37 +417,11 @@ def sort_batches(
     return out
 
 
-def top_k_batches(
-    batches: Iterable[ColumnBatch],
-    k: int,
-    key: str,
-    descending: bool = True,
-    stats: Optional[OperatorStats] = None,
-) -> ColumnBatch:
-    """Vectorized top-k: heap over (orderable, row-index) pairs only."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    merged = ColumnBatch.concat(list(batches))
-    if stats is not None:
-        stats.batches_in += 1
-        stats.rows_in += merged.length
-    values = merged.column(key)
-    decorated = ((_orderable(v), i) for i, v in enumerate(values))
-    if descending:
-        selected = heapq.nlargest(k, decorated, key=lambda t: (t[0], -t[1]))
-    else:
-        selected = heapq.nsmallest(k, decorated, key=lambda t: (t[0], t[1]))
-    out = merged.take([i for _, i in selected])
-    _note_batch_out(stats, out)
-    return out
-
-
 class GroupAggregator:
     """Incremental vectorized hash group-by.
 
-    The streaming core of :func:`group_aggregate_batches`, split out so
-    compiled pipelines (:mod:`repro.query.compile`) can feed it batches
-    — or just the surviving row *indices* of a fused filter, skipping the
+    Compiled pipelines (:mod:`repro.query.compile`) feed it batches — or
+    just the surviving row *indices* of a fused filter, skipping the
     intermediate ``take()`` copy entirely.  Group values, aggregate
     results, and the sorted output order are identical to
     :func:`group_aggregate` regardless of how rows arrive.
@@ -575,23 +463,3 @@ class GroupAggregator:
         for j, agg in enumerate(self.aggs):
             columns[agg.name] = [self._states[key][j].result(agg.func) for key in ordered]
         return ColumnBatch(columns, len(ordered))
-
-
-def group_aggregate_batches(
-    batches: Iterable[ColumnBatch],
-    group_by: Sequence[str],
-    aggs: Sequence[AggSpec],
-    stats: Optional[OperatorStats] = None,
-) -> ColumnBatch:
-    """Vectorized hash group-by: column access replaces per-row dicts.
-
-    Produces the same groups, values, and (sorted) group order as
-    :func:`group_aggregate`.
-    """
-    aggregator = GroupAggregator(group_by, aggs)
-    for batch in batches:
-        _note_batch_in(stats, batch)
-        aggregator.add_batch(batch)
-    out = aggregator.finish()
-    _note_batch_out(stats, out)
-    return out

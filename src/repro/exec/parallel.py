@@ -31,12 +31,8 @@ from repro.exec.operators import (
     AggSpec,
     Row,
     group_aggregate,
-    hash_join,
-    indexed_nl_join,
     merge_partial_aggregates,
     partial_aggregate,
-    sort_rows,
-    top_k,
 )
 from repro.model.document import Document
 from repro.obs.telemetry import DISABLED, Telemetry
@@ -616,70 +612,6 @@ class ParallelExecutor:
             report.record(StageTiming(label, finish, len(result), nodes=(node.node_id,)))
         return result, finish
 
-    def compute_hash_join(
-        self,
-        left: List[Row],
-        right: List[Row],
-        left_key: str,
-        right_key: str,
-        node: SimNode,
-        after: float,
-        report: Optional[ExecReport] = None,
-        label: str = "join",
-    ) -> Tuple[List[Row], float]:
-        result = list(hash_join(left, right, left_key, right_key))
-        cost = (
-            len(right) * costs.HASH_BUILD_MS_PER_ROW
-            + len(left) * costs.HASH_PROBE_MS_PER_ROW
-        )
-        node, finish = self._run_with_failover(node, cost, after, label, "join")
-        self._note_stage(label, len(result))
-        if report is not None:
-            report.record(StageTiming(label, finish, len(result), nodes=(node.node_id,)))
-        return result, finish
-
-    def compute_indexed_join(
-        self,
-        left: List[Row],
-        left_key: str,
-        probe: Callable[[Any], List[Row]],
-        node: SimNode,
-        after: float,
-        report: Optional[ExecReport] = None,
-        label: str = "inljoin",
-    ) -> Tuple[List[Row], float]:
-        """Indexed nested-loop join; each probe pays a random-access cost
-        plus one network round-trip to the data node holding the index."""
-        result = list(indexed_nl_join(left, left_key, probe))
-        probe_wire = self.cluster.network.latency_ms * 2 if self.cluster.data_nodes else 0
-        cost = len(left) * costs.INDEX_PROBE_MS
-        node, finish = self._run_with_failover(
-            node, cost, after + probe_wire * min(1, len(left)), label, "join"
-        )
-        self._note_stage(label, len(result))
-        if report is not None:
-            report.record(StageTiming(label, finish, len(result), nodes=(node.node_id,)))
-        return result, finish
-
-    def compute_sort(
-        self,
-        rows: List[Row],
-        keys: Sequence[str],
-        node: SimNode,
-        after: float,
-        descending: bool = False,
-        report: Optional[ExecReport] = None,
-        label: str = "sort",
-    ) -> Tuple[List[Row], float]:
-        result = sort_rows(rows, keys, descending)
-        node, finish = self._run_with_failover(
-            node, costs.sort_cost_ms(len(rows)), after, label, "sort"
-        )
-        self._note_stage(label, len(result))
-        if report is not None:
-            report.record(StageTiming(label, finish, len(result), nodes=(node.node_id,)))
-        return result, finish
-
     def compute_aggregate(
         self,
         rows: List[Row],
@@ -693,26 +625,6 @@ class ParallelExecutor:
         result = group_aggregate(rows, group_by, aggs)
         node, finish = self._run_with_failover(
             node, len(rows) * costs.AGG_MS_PER_ROW, after, label, "aggregate"
-        )
-        self._note_stage(label, len(result))
-        if report is not None:
-            report.record(StageTiming(label, finish, len(result), nodes=(node.node_id,)))
-        return result, finish
-
-    def compute_top_k(
-        self,
-        rows: List[Row],
-        k: int,
-        key: str,
-        node: SimNode,
-        after: float,
-        descending: bool = True,
-        report: Optional[ExecReport] = None,
-        label: str = "topk",
-    ) -> Tuple[List[Row], float]:
-        result = top_k(rows, k, key, descending)
-        node, finish = self._run_with_failover(
-            node, len(rows) * costs.TOPK_MS_PER_ROW, after, label, "sort"
         )
         self._note_stage(label, len(result))
         if report is not None:

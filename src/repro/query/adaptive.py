@@ -43,21 +43,18 @@ DEFAULT_PROBE_BUDGET = 128
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs for compiled execution and mid-query re-optimization.
+    """Knobs for mid-query re-optimization.
 
     ``enabled`` gates the re-optimizer (budgeted join migration stays
     available regardless — it predates this config and needs no
     estimates).  ``divergence_ratio`` is the observed/estimated factor
     (either direction) that arms a checkpoint; ``max_replans`` bounds
     splices per query so a pathological estimate cannot thrash.
-    ``compiled_pipelines`` turns plan compilation off entirely, falling
-    back to the interpreted batch engine.
     """
 
     enabled: bool = True
     divergence_ratio: float = 2.0
     max_replans: int = 2
-    compiled_pipelines: bool = True
     probe_budget: int = DEFAULT_PROBE_BUDGET
 
     def __post_init__(self) -> None:

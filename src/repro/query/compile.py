@@ -1,9 +1,9 @@
-"""Compiled operator pipelines (docs/ADAPTIVE.md).
+"""Compiled operator pipelines (docs/ADAPTIVE.md) — the execution path.
 
-Instead of re-walking the physical plan tree on every execution, the
-engine lowers a plan *once* into fused per-batch closures and caches the
-result keyed by :func:`plan_fingerprint` — compilation cost amortizes
-across the cached-plan hot path.  Pipeline breakers (hash-join builds,
+The engine never walks a physical plan tree at run time: it lowers a
+plan *once* into fused per-batch closures and caches the result keyed by
+:func:`plan_fingerprint` — compilation cost amortizes across the
+cached-plan hot path.  Pipeline breakers (hash-join builds,
 indexed-join outer materialization, full aggregation, sorts) bound the
 fused stages and double as the re-optimizer's materialization
 checkpoints (:class:`repro.query.adaptive.ReOptimizer`).
@@ -16,15 +16,15 @@ Fusion is not just dispatch removal — it changes the data movement:
 * **filter→aggregate** feeds surviving row indices straight into
   :class:`~repro.exec.operators.GroupAggregator`, skipping the
   intermediate ``take()`` copy entirely;
-* predicate selectors are pre-bound once per pipeline (the compiled
-  value predicates of :meth:`Conjunction.selector`, including the
+* predicate selectors are pre-bound once per pipeline
+  (:func:`compile_selector` — the one filter kernel, including the
   :class:`~repro.storage.encoding.EncodedColumn` dictionary-code fast
   path), not once per batch.
 
-Everything observable is preserved: output batches are byte-identical to
-the interpreted batch engine, per-operator statistics count the same
-logical batches, and simulated charges accrue per batch in the same
-per-row amounts (the property suite pins all three).
+Fusion is physical only: rows, their order, per-operator row counts and
+simulated charges (per operator, in the same per-row amounts) equal
+those of a row-at-a-time interpretation of the same plan — the test
+oracle (``tests/oracle/row_engine.py``) pins all of them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.query.planner import (
 )
 from repro.query.plans import (
     Aggregate,
-    Comparison,
     Conjunction,
     Filter,
     Join,
@@ -158,31 +157,41 @@ def _est(plan: Any) -> str:
 def compile_selector(
     predicate: Conjunction,
 ) -> Callable[[ColumnBatch, Optional[Sequence[int]]], List[int]]:
-    """Pre-bound equivalent of :meth:`Conjunction.selector`.
+    """Vectorized evaluation of *predicate*: batch → matching row indices.
 
-    The per-term compiled value predicates are built once at pipeline
-    compile time instead of once per batch, and the selector optionally
-    narrows an existing candidate index set (chained fused filters).
-    Semantics — including the dictionary-code fast path, which memoizes
-    ``matching_codes`` per (dictionary, term) — are identical to the
-    interpreted selector by construction.
+    Terms narrow the candidate set column by column — each term reads one
+    column and filters the surviving indices, so a selective leading term
+    makes the remaining terms nearly free; the selector optionally starts
+    from an existing candidate set (chained fused filters).  The per-term
+    value predicates are built once, at pipeline compile time.
+
+    Dictionary-coded columns take a code fast path: the value predicate
+    runs once per *distinct* value (memoized on the shared
+    :class:`~repro.storage.encoding.ColumnDictionary`) and the per-row
+    work collapses to an integer set membership test on still-encoded
+    codes.  The same closure decides both paths, so they select the same
+    rows as ``predicate.matches``.
     """
-    compiled: List[Tuple[Comparison, Callable[[Any], bool]]] = [
-        (term, term.value_predicate()) for term in predicate.terms
+    # The dictionary's match cache is keyed by the term's *text*: its
+    # literal prints as a repr, which keeps ``= 1``/``= True``/``= 1.0``
+    # and ``contains 0.0``/``contains -0.0`` apart — the frozen terms
+    # themselves compare (and hash) equal.
+    compiled: List[Tuple[str, str, Callable[[Any], bool]]] = [
+        (term.column, str(term), term.value_predicate()) for term in predicate.terms
     ]
 
     def select(batch: ColumnBatch, candidates: Optional[Sequence[int]] = None) -> List[int]:
         indices: Sequence[int] = range(batch.length) if candidates is None else candidates
-        for term, value_predicate in compiled:
+        for column, cache_key, value_predicate in compiled:
             if not indices:
                 break
-            raw = batch.columns.get(term.column)
+            raw = batch.columns.get(column)
             if isinstance(raw, EncodedColumn):
                 codes = raw.codes()
-                matching = raw.dictionary.matching_codes(term, value_predicate)
+                matching = raw.dictionary.matching_codes(cache_key, value_predicate)
                 indices = [i for i in indices if codes[i] in matching]
                 continue
-            values = batch.column(term.column)
+            values = batch.column(column)
             indices = [i for i in indices if value_predicate(values[i])]
         return list(indices)
 
@@ -250,8 +259,7 @@ def _compile_chain(plan: PhysicalPlan, stages: List[str]) -> StageFn:
     One pass per batch: filters narrow an index set without copying,
     projection prunes columns *before* the gather, and the final
     ``take`` happens at most once per batch.  Charges and statistics
-    are accounted per original operator so the meter is identical to
-    the interpreter's.
+    are accounted per original operator, as if each ran on its own.
     """
     source, nodes = _peel_chain(plan)
     source_fn = _compile(source, stages)
@@ -266,9 +274,8 @@ def _compile_chain(plan: PhysicalPlan, stages: List[str]) -> StageFn:
     def run(ctx: PipelineContext) -> List[ColumnBatch]:
         meter = ctx.meter
         charge = meter.charge
-        # Register the operator counters even for zero batches — the
-        # interpreter creates them at operator setup, and the two paths
-        # must expose identical ``operator_stats``.
+        # Register the operator counters even for zero batches, so
+        # ``operator_stats`` names every operator of the plan.
         for kind, _ in ops:
             meter.stats(kind)
         out: List[ColumnBatch] = []

@@ -1,26 +1,23 @@
-"""Query engine: interprets physical plans against a repository.
+"""Query engine: compiles physical plans and runs them against a repository.
 
 The engine executes for real (rows out are correct) while charging a
 simulated cost meter, so the PLAN experiment can compare planner choices
 by simulated latency without depending on host noise.
 
-Two interpreters share the cost model and produce identical rows:
-
-* the **vectorized** interpreter (the default) runs plans over
-  :class:`~repro.exec.batch.ColumnBatch` streams — scans project
-  documents column-wise, filters/joins/aggregates work batch-at-a-time
-  (``repro.exec.operators``'s ``*_batches`` family), and
-  ``QueryResult.rows`` is a thin adapter over the final batches;
-* the **legacy row** interpreter walks dict rows one at a time, kept
-  alive behind ``vectorized=False`` so benches and property tests can
-  compare the two for identical output.
+There is one execution path: a physical plan is lowered once into fused
+pipeline closures (:mod:`repro.query.compile`, memoized by plan
+fingerprint) that run over :class:`~repro.exec.batch.ColumnBatch`
+streams — scans project documents column-wise, filters/joins/aggregates
+work batch-at-a-time, and ``QueryResult.rows`` is a thin adapter over
+the final batches.  The row-at-a-time reference it is checked against
+lives with the tests (``tests/oracle/row_engine.py``), not here.
 
 A *repository* is anything exposing documents, point lookup, a view
 catalog, and indexes — :class:`LocalRepository` wraps a single document
 store; the appliance facade (:class:`repro.core.appliance.Impliance`)
 implements the same protocol over a cluster.  Repositories may also
 offer ``document_batches(batch_size)`` (the stores do) to feed the
-vectorized scan without per-document generator hops.
+scan without per-document generator hops.
 """
 
 from __future__ import annotations
@@ -46,22 +43,9 @@ from repro.exec.batch import (
     DEFAULT_BATCH_SIZE,
     ColumnBatch,
     batches_from_columns,
-    batches_from_rows,
     rows_from_batches,
 )
-from repro.exec.operators import (
-    OperatorStats,
-    Row,
-    filter_batches,
-    group_aggregate,
-    group_aggregate_batches,
-    hash_join,
-    hash_join_batches,
-    merge_joined_row,
-    project_batches,
-    sort_batches,
-    sort_rows,
-)
+from repro.exec.operators import OperatorStats, Row, merge_joined_row
 from repro.index.manager import IndexManager
 from repro.model.document import Document
 from repro.model.views import ColumnProjector, RelationalView, ViewCatalog
@@ -79,7 +63,6 @@ from repro.query.planner import (
 from repro.query.plans import (
     Aggregate,
     Filter,
-    Join,
     Limit,
     LogicalPlan,
     Project,
@@ -163,12 +146,7 @@ class _CostMeter:
 
 
 class QueryEngine:
-    """Plan interpreter with a simulated cost meter.
-
-    ``vectorized`` selects the batch interpreter (the default hot path);
-    ``vectorized=False`` keeps the legacy row-at-a-time interpreter for
-    comparison runs.  Both charge identical simulated costs.
-    """
+    """Plans SQL, runs compiled pipelines, charges a simulated cost meter."""
 
     #: Bound on the engine-local compiled-pipeline memo (used when no
     #: cache hierarchy is wired in; the hierarchy's plan cache owns the
@@ -179,19 +157,17 @@ class QueryEngine:
         self,
         repository: Repository,
         telemetry: Optional[Telemetry] = None,
-        vectorized: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: Optional[CacheHierarchy] = None,
         adaptive_config: Optional[AdaptiveConfig] = None,
     ) -> None:
         self.repository = repository
         self.telemetry = telemetry if telemetry is not None else DISABLED
-        self.vectorized = vectorized
         self.batch_size = batch_size
         #: Optional appliance-wide cache hierarchy (docs/CACHING.md).
         #: None (the standalone default) means every query runs uncached.
         self.cache = cache
-        #: Compiled-pipeline + re-optimizer knobs (docs/ADAPTIVE.md).
+        #: Re-optimizer knobs (docs/ADAPTIVE.md).
         self.adaptive_config = adaptive_config if adaptive_config is not None else AdaptiveConfig()
         self.simple_planner = SimplePlanner(
             can_probe=self._can_probe, columns_of=self._columns_of_view
@@ -379,36 +355,20 @@ class QueryEngine:
     ) -> QueryResult:
         """Execute a physical plan.
 
-        The default path compiles the plan into fused pipeline closures
-        (:mod:`repro.query.compile`, memoized by plan fingerprint); the
-        interpreters remain as fallbacks (``vectorized=False`` for the
-        row engine, ``AdaptiveConfig.compiled_pipelines=False`` for the
-        interpreted batch engine).  With ``adaptive`` *and* caller
-        *statistics*, pipeline breakers become re-optimization
-        checkpoints (docs/ADAPTIVE.md); adaptive without statistics keeps
-        the budgeted indexed-join migration.
+        The plan is compiled into fused pipeline closures
+        (:mod:`repro.query.compile`, memoized by plan fingerprint) and
+        run.  With ``adaptive`` *and* caller *statistics*, pipeline
+        breakers become re-optimization checkpoints (docs/ADAPTIVE.md);
+        adaptive without statistics keeps the budgeted indexed-join
+        migration.
         """
         meter = _CostMeter(adaptive=adaptive)
         meter.probe_cost_ms = self._probe_cost_ms()
-        pipeline = None
-        if self.vectorized and self.adaptive_config.compiled_pipelines:
-            pipeline = self._compiled_pipeline(physical)
-        if pipeline is not None:
-            engine_kind = "compiled"
-        else:
-            engine_kind = "vectorized" if self.vectorized else "rows"
-        reoptimizer: Optional[ReOptimizer] = None
-        with self.telemetry.span("query.execute", engine=engine_kind) as span:
-            batches: Optional[List[ColumnBatch]] = None
-            if pipeline is not None:
-                reoptimizer = self._make_reoptimizer(adaptive, statistics, meter)
-                batches = pipeline.execute(PipelineContext(self, meter, reoptimizer))
-                rows = rows_from_batches(batches)
-            elif self.vectorized:
-                batches = self._run_batches(physical, meter)
-                rows = rows_from_batches(batches)
-            else:
-                rows = self._run(physical, meter)
+        pipeline = self._compiled_pipeline(physical)
+        reoptimizer = self._make_reoptimizer(adaptive, statistics, meter)
+        with self.telemetry.span("query.execute") as span:
+            batches = pipeline.execute(PipelineContext(self, meter, reoptimizer))
+            rows = rows_from_batches(batches)
             span.charge_sim(meter.ms)
         self._note_batch_metrics(meter)
         if reoptimizer is not None:
@@ -496,7 +456,6 @@ class QueryEngine:
         config = self.adaptive_config
         return {
             "compiled": {
-                "enabled": bool(self.vectorized and config.compiled_pipelines),
                 "built": counters["compiled_built"],
                 "hits": counters["compiled_hits"],
                 "local_entries": len(self._compiled_memo),
@@ -526,7 +485,7 @@ class QueryEngine:
                 )
 
     # ------------------------------------------------------------------
-    # scan (shared leaf of both interpreters)
+    # scan
     # ------------------------------------------------------------------
     def _document_batches(self) -> Iterator[List[Document]]:
         """Documents in storage-sized batches, falling back to chunking
@@ -545,7 +504,7 @@ class QueryEngine:
             yield pending
 
     def _view_batches(self, view_name: str, meter: _CostMeter) -> List[ColumnBatch]:
-        """Vectorized scan: project matching documents column-wise.
+        """Scan a view: project matching documents column-wise.
 
         Repositories backed by the native column pages expose
         ``view_column_batches`` — batches come straight off the encoded
@@ -591,163 +550,6 @@ class QueryEngine:
         stats.batches_out += len(batches)
         return batches
 
-    # ------------------------------------------------------------------
-    # row interpreter (legacy engine)
-    # ------------------------------------------------------------------
-    def _view_rows(self, view_name: str, meter: _CostMeter) -> List[Row]:
-        view = self.repository.views.get(view_name)
-        rows: List[Row] = []
-        n_docs = 0
-        for document in self.repository.documents():
-            n_docs += 1
-            if not view.matches(document):
-                continue
-            row = view.project(document, self.repository.lookup)
-            if row is not None:
-                rows.append(row)
-        meter.charge(n_docs * costs.SCAN_CPU_MS_PER_DOC)
-        meter.charge(len(rows) * costs.PROJECT_CPU_MS_PER_ROW)
-        stats = meter.stats("scan")
-        stats.rows_in += n_docs
-        stats.rows_out += len(rows)
-        return rows
-
-    # ------------------------------------------------------------------
-    # batch interpreter (vectorized engine)
-    # ------------------------------------------------------------------
-    def _run_batches(self, plan: PhysicalPlan, meter: _CostMeter) -> List[ColumnBatch]:
-        if isinstance(plan, ScanView):
-            return self._view_batches(plan.view, meter)
-        if isinstance(plan, Filter):
-            child = self._run_batches(plan.child, meter)
-            meter.charge(
-                sum(b.length for b in child) * costs.FILTER_CPU_MS_PER_ROW
-            )
-            return list(
-                filter_batches(child, plan.predicate.selector, meter.stats("filter"))
-            )
-        if isinstance(plan, Project):
-            child = self._run_batches(plan.child, meter)
-            meter.charge(
-                sum(b.length for b in child) * costs.PROJECT_CPU_MS_PER_ROW
-            )
-            return list(
-                project_batches(child, plan.columns, meter.stats("project"))
-            )
-        if isinstance(plan, Aggregate):
-            child = self._run_batches(plan.child, meter)
-            meter.charge(sum(b.length for b in child) * costs.AGG_MS_PER_ROW)
-            out = group_aggregate_batches(
-                child, plan.group_by, plan.aggs, meter.stats("aggregate")
-            )
-            out = out.drop_column("__distinct")
-            return [out] if out.length else []
-        if isinstance(plan, Sort):
-            child = self._run_batches(plan.child, meter)
-            meter.charge(costs.sort_cost_ms(sum(b.length for b in child)))
-            out = sort_batches(child, plan.keys, plan.descending, meter.stats("sort"))
-            return [out] if out.length else []
-        if isinstance(plan, Limit):
-            child = self._run_batches(plan.child, meter)
-            remaining = plan.count
-            limited: List[ColumnBatch] = []
-            for batch in child:
-                if remaining <= 0:
-                    break
-                head = batch.head(remaining)
-                limited.append(head)
-                remaining -= head.length
-            return limited
-        if isinstance(plan, PhysHashJoin):
-            probe = self._run_batches(plan.probe, meter)
-            build = self._run_batches(plan.build, meter)
-            meter.charge(
-                sum(b.length for b in build) * costs.HASH_BUILD_MS_PER_ROW
-                + sum(b.length for b in probe) * costs.HASH_PROBE_MS_PER_ROW
-            )
-            return list(
-                hash_join_batches(
-                    probe,
-                    build,
-                    plan.probe_column,
-                    plan.build_column,
-                    meter.stats("hash_join"),
-                )
-            )
-        if isinstance(plan, PhysIndexedJoin):
-            outer = rows_from_batches(self._run_batches(plan.outer, meter))
-            joined = self._indexed_join_rows(plan, outer, meter)
-            stats = meter.stats("indexed_join")
-            stats.rows_in += len(outer)
-            stats.rows_out += len(joined)
-            out = list(batches_from_rows(joined, self.batch_size))
-            stats.batches_out += len(out)
-            return out
-        if isinstance(plan, Join):
-            raise TypeError("logical Join reached the interpreter; run a planner first")
-        raise TypeError(f"cannot execute {plan!r}")
-
-    def _run(self, plan: PhysicalPlan, meter: _CostMeter) -> List[Row]:
-        if isinstance(plan, ScanView):
-            return self._view_rows(plan.view, meter)
-        if isinstance(plan, Filter):
-            child = self._run(plan.child, meter)
-            meter.charge(len(child) * costs.FILTER_CPU_MS_PER_ROW)
-            out = [r for r in child if plan.predicate.matches(r)]
-            stats = meter.stats("filter")
-            stats.rows_in += len(child)
-            stats.rows_out += len(out)
-            return out
-        if isinstance(plan, Project):
-            child = self._run(plan.child, meter)
-            meter.charge(len(child) * costs.PROJECT_CPU_MS_PER_ROW)
-            stats = meter.stats("project")
-            stats.rows_in += len(child)
-            stats.rows_out += len(child)
-            return [{c: r.get(c) for c in plan.columns} for r in child]
-        if isinstance(plan, Aggregate):
-            child = self._run(plan.child, meter)
-            meter.charge(len(child) * costs.AGG_MS_PER_ROW)
-            rows = group_aggregate(
-                child, plan.group_by, plan.aggs, meter.stats("aggregate")
-            )
-            return [
-                {k: v for k, v in row.items() if k != "__distinct"} for row in rows
-            ]
-        if isinstance(plan, Sort):
-            child = self._run(plan.child, meter)
-            meter.charge(costs.sort_cost_ms(len(child)))
-            return sort_rows(child, plan.keys, plan.descending, meter.stats("sort"))
-        if isinstance(plan, Limit):
-            child = self._run(plan.child, meter)
-            return child[: plan.count]
-        if isinstance(plan, PhysHashJoin):
-            probe = self._run(plan.probe, meter)
-            build = self._run(plan.build, meter)
-            meter.charge(
-                len(build) * costs.HASH_BUILD_MS_PER_ROW
-                + len(probe) * costs.HASH_PROBE_MS_PER_ROW
-            )
-            return list(
-                hash_join(
-                    probe,
-                    build,
-                    plan.probe_column,
-                    plan.build_column,
-                    meter.stats("hash_join"),
-                )
-            )
-        if isinstance(plan, PhysIndexedJoin):
-            outer = self._run(plan.outer, meter)
-            joined = self._indexed_join_rows(plan, outer, meter)
-            stats = meter.stats("indexed_join")
-            stats.rows_in += len(outer)
-            stats.rows_out += len(joined)
-            return joined
-        if isinstance(plan, Join):
-            raise TypeError("logical Join reached the interpreter; run a planner first")
-        raise TypeError(f"cannot execute {plan!r}")
-
     def _probe_index(self, path, key):
         """Value-index probe, memoized through the cache hierarchy's
         probe tier when one is wired (docs/CACHING.md)."""
@@ -763,8 +565,8 @@ class QueryEngine:
     def _indexed_join_rows(
         self, plan: PhysIndexedJoin, outer: List[Row], meter: _CostMeter
     ) -> List[Row]:
-        """Indexed-NL join body shared by both interpreters (probes are
-        inherently row-at-a-time: one index lookup per outer row)."""
+        """Indexed-NL join body (probes are inherently row-at-a-time:
+        one index lookup per outer row)."""
         if meter.adaptive:
             view = self.repository.views.get(plan.inner_view)
             path = self._column_path(view, plan.inner_column)
@@ -806,8 +608,8 @@ class QueryEngine:
         outer cardinality (and any degraded-node probe penalty) is handed
         to the cost-based optimizer, and an approved re-plan splices in a
         hash strategy over the same materialized outer.  Otherwise the
-        stage behaves exactly like the interpreters (plain probes, or the
-        budgeted migration under estimate-free adaptive mode).
+        stage runs plain probes, or the budgeted migration under
+        estimate-free adaptive mode.
         """
         meter = ctx.meter
         reoptimizer = ctx.reoptimizer
@@ -833,6 +635,17 @@ class QueryEngine:
             return self._hash_migrate_indexed(plan, outer, meter)
         return self._probe_join_rows(plan, outer, meter)
 
+    def _inner_rows(self, plan: PhysIndexedJoin, meter: _CostMeter) -> List[Row]:
+        """One-shot scan of an indexed join's inner side (a migration's
+        hash build input): charged to *meter*, kept out of its per-operator
+        scan statistics."""
+        scan_meter = _CostMeter()
+        rows = rows_from_batches(self._view_batches(plan.inner_view, scan_meter))
+        meter.charge(scan_meter.ms)
+        if plan.inner_predicate is not None:
+            rows = [r for r in rows if plan.inner_predicate.matches(r)]
+        return rows
+
     def _hash_migrate_indexed(
         self, plan: PhysIndexedJoin, outer: List[Row], meter: _CostMeter
     ) -> List[Row]:
@@ -841,11 +654,7 @@ class QueryEngine:
         from repro.query.adaptive import AdaptiveJoinReport, hash_probe_rows
 
         before_ms = meter.ms
-        scan_meter = _CostMeter()
-        inner_rows = self._view_rows(plan.inner_view, scan_meter)
-        meter.charge(scan_meter.ms)
-        if plan.inner_predicate is not None:
-            inner_rows = [r for r in inner_rows if plan.inner_predicate.matches(r)]
+        inner_rows = self._inner_rows(plan, meter)
         meter.charge(len(inner_rows) * costs.HASH_BUILD_MS_PER_ROW)
         results, probed = hash_probe_rows(
             outer, plan.outer_column, inner_rows, plan.inner_column
@@ -882,19 +691,11 @@ class QueryEngine:
                 matches.append(inner_row)
             return matches
 
-        def inner_scan() -> List[Row]:
-            scan_meter = _CostMeter()
-            rows = self._view_rows(plan.inner_view, scan_meter)
-            meter.charge(scan_meter.ms)
-            if plan.inner_predicate is not None:
-                rows = [r for r in rows if plan.inner_predicate.matches(r)]
-            return rows
-
         results, report = adaptive_indexed_join(
             outer,
             plan.outer_column,
             probe,
-            inner_scan,
+            lambda: self._inner_rows(plan, meter),
             plan.inner_column,
             probe_budget=self.adaptive_config.probe_budget,
             probe_cost_ms=meter.probe_cost_ms,
@@ -911,7 +712,9 @@ class QueryEngine:
 
         statistics = Statistics()
         meter = _CostMeter()
-        statistics.collect({name: self._view_rows(name, meter) for name in view_names})
+        statistics.collect(
+            {name: rows_from_batches(self._view_batches(name, meter)) for name in view_names}
+        )
         return statistics
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.exec.operators import AggSpec, Row
-from repro.storage.encoding import EncodedColumn
 
 
 class CompareOp(enum.Enum):
@@ -72,8 +71,9 @@ class Comparison:
     def value_predicate(self) -> Callable[[Any], bool]:
         """A value → bool closure equivalent to ``op.apply(value, literal)``.
 
-        Built once per batch by the vectorized filter so the per-row loop
-        skips the enum dispatch inside :meth:`CompareOp.apply`.  The
+        Built once per pipeline by :func:`repro.query.compile.
+        compile_selector` so the per-row loop skips the enum dispatch
+        inside :meth:`CompareOp.apply`.  The
         specialized closures replicate ``apply``'s semantics exactly
         (None never matches ordering ops, cross-type comparisons are
         False, string equality is case-insensitive).
@@ -134,40 +134,6 @@ class Conjunction:
 
     def matches(self, row: Row) -> bool:
         return all(term.matches(row) for term in self.terms)
-
-    def selector(self, batch: Any) -> List[int]:
-        """Vectorized evaluation: indices of the batch rows that match.
-
-        Terms narrow the candidate set column-by-column — each term reads
-        one column list and filters the surviving indices, so a selective
-        leading term makes the remaining terms nearly free.  *batch* is a
-        :class:`repro.exec.batch.ColumnBatch` (typed as Any to keep this
-        module free of an exec-layer import).
-
-        Dictionary-coded columns take a code fast path: the compiled
-        predicate runs once per *distinct* value (memoized on the shared
-        :class:`~repro.storage.encoding.ColumnDictionary`, keyed by this
-        frozen term), and the per-row work collapses to an integer set
-        membership test on still-encoded codes.  Semantics are identical
-        by construction — the same ``value_predicate`` closure decides
-        both paths, just at different granularity.
-        """
-        indices: Sequence[int] = range(batch.length)
-        for term in self.terms:
-            if not indices:
-                break
-            raw = batch.columns.get(term.column)
-            if isinstance(raw, EncodedColumn):
-                codes = raw.codes()
-                matching = raw.dictionary.matching_codes(
-                    term, term.value_predicate()
-                )
-                indices = [i for i in indices if codes[i] in matching]
-                continue
-            values = batch.column(term.column)
-            predicate = term.value_predicate()
-            indices = [i for i in indices if predicate(values[i])]
-        return list(indices)
 
     def columns(self) -> List[str]:
         return [t.column for t in self.terms]

@@ -49,9 +49,15 @@ def _dict_key(value: Any) -> Tuple[type, Any]:
     Plain ``value`` keys would fuse ``True``/``1``/``1.0`` into one code
     (Python hashes them identically), silently rewriting booleans into
     ints on decode.  Keying by ``(type, value)`` keeps the round trip
-    exact.
+    exact — except for the two floats ``==`` gets wrong: ``-0.0 == 0.0``
+    (the column would decode ``-0.0`` as ``0.0``) and ``nan != nan``
+    (every NaN object would mint a fresh code).  Those key on their
+    ``repr`` (``'-0.0'``, ``'0.0'``, ``'nan'``) instead.
     """
-    return (value.__class__, value)
+    cls = value.__class__
+    if cls is float and (value == 0.0 or value != value):
+        return (cls, repr(value))
+    return (cls, value)
 
 
 class ColumnDictionary:
@@ -83,8 +89,10 @@ class ColumnDictionary:
         return len(self._values)
 
     def encode_one(self, value: Any) -> int:
-        # inlined _dict_key: this is the hottest line of the write path
-        key = (value.__class__, value)
+        # the hottest line of the write path: _dict_key inlined for
+        # everything but floats, whose zero/NaN rule lives there
+        cls = value.__class__
+        key = _dict_key(value) if cls is float else (cls, value)
         code = self._code_of.get(key)
         if code is None:
             code = len(self._values)
@@ -122,8 +130,10 @@ class ColumnDictionary:
 
         *predicate* sees exactly what ``ColumnBatch.column`` would hand a
         row-at-a-time filter: the decoded value, with :data:`MISSING`
-        read as None.  Results are cached under *cache_key* (typically
-        the frozen ``Comparison`` itself) and extended incrementally —
+        read as None.  Results are cached under *cache_key* (the
+        comparison's text — not the frozen ``Comparison``, which equates
+        literals such as ``1``/``True`` and ``0.0``/``-0.0`` that select
+        different rows) and extended incrementally —
         appending values to the dictionary re-evaluates the predicate
         only on the new tail, never on the already-checked prefix.
         """

@@ -227,7 +227,7 @@ class TestAdaptiveConfig:
         from repro.query.adaptive import AdaptiveConfig
 
         config = AdaptiveConfig()
-        assert config.enabled and config.compiled_pipelines
+        assert config.enabled
         assert config.divergence_ratio >= 1.0
 
     def test_validation(self):

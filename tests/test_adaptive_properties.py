@@ -1,11 +1,11 @@
-"""Property tests: compiled + adaptive execution ≡ the interpreters.
+"""Property tests: compiled + adaptive execution ≡ the row oracle.
 
 For any data shape, any statistics staleness, and any probe-cost
 penalty (a chaos-degraded node), the compiled path with mid-query
 re-optimization enabled must return the same multiset of rows as the
-interpreted batch engine and the row-at-a-time engine.  When no re-plan
-fires, the compiled path must match the interpreter *exactly* — same
-order, same operator counters, charges equal up to float summation
+row-at-a-time oracle (``tests/oracle/row_engine.py``).  When no re-plan
+fires, the compiled path must match the oracle *exactly* — same order,
+same per-operator row counts, charges equal up to float summation
 order.
 """
 
@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
-from repro.query.adaptive import AdaptiveConfig, ReplanReport
+from repro.query.adaptive import ReplanReport
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.storage.store import DocumentStore
+from tests.oracle.row_engine import RowEngine, row_counts
 
 pytestmark = pytest.mark.adaptive
 
@@ -66,14 +67,10 @@ class TestCompiledEquivalence:
             f"WHERE amount > {threshold}"
         )
         compiled = QueryEngine(repo).sql(query)
-        interpreted = QueryEngine(
-            repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        ).sql(query)
-        rows_engine = QueryEngine(repo, vectorized=False).sql(query)
-        assert compiled.rows == interpreted.rows
-        assert compiled.sim_ms == pytest.approx(interpreted.sim_ms)
-        assert compiled.operator_stats == interpreted.operator_stats
-        assert _multiset(compiled.rows) == _multiset(rows_engine.rows)
+        oracle = RowEngine(repo).sql(query)
+        assert compiled.rows == oracle.rows
+        assert compiled.sim_ms == pytest.approx(oracle.sim_ms)
+        assert row_counts(compiled.operator_stats) == row_counts(oracle.operator_stats)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -88,11 +85,9 @@ class TestCompiledEquivalence:
             f"WHERE amount > {group_threshold} GROUP BY cid"
         )
         compiled = QueryEngine(repo).sql(query)
-        interpreted = QueryEngine(
-            repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        ).sql(query)
-        assert compiled.rows == interpreted.rows
-        assert compiled.sim_ms == pytest.approx(interpreted.sim_ms)
+        oracle = RowEngine(repo).sql(query)
+        assert compiled.rows == oracle.rows
+        assert compiled.sim_ms == pytest.approx(oracle.sim_ms)
 
 
 class TestAdaptiveEquivalence:
@@ -122,9 +117,7 @@ class TestAdaptiveEquivalence:
             repo.probe_penalty = lambda: penalty
         query = "SELECT name, amount FROM orders JOIN customers ON cid = cid"
         adaptive = engine.sql(query, planner="costbased", statistics=stats, adaptive=True)
-        static = QueryEngine(
-            repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        ).sql(query)
+        static = RowEngine(repo).sql(query)
         assert _multiset(adaptive.rows) == _multiset(static.rows)
 
     @settings(max_examples=15, deadline=None)

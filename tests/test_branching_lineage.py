@@ -218,7 +218,7 @@ class TestLineageIndex:
         app = Impliance(ApplianceConfig(
             n_data_nodes=2, n_grid_nodes=1, product_lexicon=("WidgetPro",)
         ))
-        doc = app.ingest_text("the WidgetPro is excellent")
+        doc = app.ingest("the WidgetPro is excellent")
         app.discover()
         index = LineageIndex(app.documents())
         derived = index.impact(doc.doc_id)

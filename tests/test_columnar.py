@@ -19,12 +19,13 @@ Covers the docs/STORAGE.md contract from three directions:
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exec.batch import MISSING, ColumnBatch
 from repro.model.document import Document
 from repro.model.views import base_table_view
+from repro.query.compile import compile_selector
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.query.plans import Comparison, CompareOp, Conjunction
 from repro.storage.bufferpool import BufferPool
@@ -42,6 +43,7 @@ from repro.storage.encoding import (
 )
 from repro.storage.pages import Page, Segment
 from repro.storage.store import DocumentStore
+from tests.oracle.row_engine import RowEngine
 
 pytestmark = pytest.mark.storage
 
@@ -55,6 +57,7 @@ scalars = st.one_of(
     st.booleans(),
     st.integers(min_value=-(10**6), max_value=10**6),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.just(-0.0),
     st.text(max_size=8),
 )
 
@@ -66,14 +69,23 @@ def _decode(column: EncodedColumn):
     return [column[i] for i in range(len(column))]
 
 
+def _exact(values):
+    """``==`` equates -0.0 with 0.0 and True with 1, and no NaN with
+    itself; type + repr tells the first two apart and equates NaNs."""
+    return [(type(v), repr(v)) for v in values]
+
+
 class TestEncodingRoundTrip:
     @given(st.lists(scalars, max_size=120))
+    @example([0.0, -0.0, 0.0])
+    @example([float("nan"), 1.0, float("nan")])  # two NaN objects, one code
     @settings(max_examples=200, deadline=None)
     def test_round_trip_exact(self, values):
         column = EncodedColumn.from_values(values)
-        assert column.decoded() == values
-        assert list(column) == values
+        assert _exact(column.decoded()) == _exact(values)
+        assert _exact(column) == _exact(values)
         assert len(column) == len(values)
+        assert len(column.dictionary) == len(set(_exact(values)))
 
     @given(runny)
     @settings(max_examples=100, deadline=None)
@@ -151,14 +163,29 @@ literals = st.one_of(
 
 class TestCodePredicateEquivalence:
     @given(st.lists(scalars, max_size=100), comparison_ops, literals)
+    @example(values=[0.0, -0.0], op=CompareOp.CONTAINS, literal=-0.0)
     @settings(max_examples=300, deadline=None)
     def test_selector_matches_decoded_path(self, values, op, literal):
         """One Conjunction, two batch representations, same selection."""
         term = Comparison("c", op, literal)
-        predicate = Conjunction((term,))
+        select = compile_selector(Conjunction((term,)))
         encoded = ColumnBatch({"c": EncodedColumn.from_values(values)}, len(values))
         plain = ColumnBatch({"c": list(values)}, len(values))
-        assert predicate.selector(encoded) == predicate.selector(plain)
+        assert select(encoded) == select(plain)
+
+    def test_match_cache_tells_equal_literals_apart(self):
+        """``Comparison(c, =, 1) == Comparison(c, =, True)`` (and so for
+        ±0.0), yet they select different rows: consecutive queries over
+        one dictionary must not read each other's cached code sets."""
+        values = [True, 1, 1.0, "0.0", "-0.0"]
+        encoded = ColumnBatch({"c": EncodedColumn.from_values(values)}, len(values))
+        plain = ColumnBatch({"c": values}, len(values))
+        for op, literal in [
+            (CompareOp.EQ, 1), (CompareOp.EQ, True), (CompareOp.EQ, 1.0),
+            (CompareOp.CONTAINS, -0.0), (CompareOp.CONTAINS, 0.0),
+        ]:
+            select = compile_selector(Conjunction((Comparison("c", op, literal),)))
+            assert select(encoded) == select(plain), (op, literal)
 
     @given(st.lists(scalars, max_size=100), comparison_ops, literals)
     @settings(max_examples=200, deadline=None)
@@ -449,7 +476,7 @@ class TestEngineIntegration:
         repo = self._repo()
         native = QueryEngine(repo).sql(SQL)
         transpose = QueryEngine(_TransposeOnly(repo)).sql(SQL)
-        row_engine = QueryEngine(repo, vectorized=False).sql(SQL)
+        row_engine = RowEngine(repo).sql(SQL)
         assert native.rows == transpose.rows == row_engine.rows
         # the physical shortcut must not perturb the simulated cost
         assert native.sim_ms == pytest.approx(transpose.sim_ms)

@@ -1,17 +1,17 @@
 """Tests for compiled operator pipelines (docs/ADAPTIVE.md).
 
-The compiled path must be observationally identical to the interpreted
-batch engine — same rows in the same order, same per-operator counters,
-same simulated charges (up to float summation order) — while actually
-moving less data (fused filter→project prunes columns before the gather;
-fused filter→aggregate never materializes the filtered batch).
+The compiled path must be observationally identical to a row-at-a-time
+interpretation of the same plan (``tests/oracle/row_engine.py``) — same
+rows in the same order, same per-operator row counts, same simulated
+charges (up to float summation order) — while actually moving less data
+(fused filter→project prunes columns before the gather; fused
+filter→aggregate never materializes the filtered batch).
 """
 
 import pytest
 
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
-from repro.query.adaptive import AdaptiveConfig
 from repro.query.compile import compile_plan, compile_selector, plan_fingerprint
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.query.planner import PhysHashJoin
@@ -24,6 +24,7 @@ from repro.query.plans import (
 )
 from repro.query.sql import parse_sql
 from repro.storage.store import DocumentStore
+from tests.oracle.row_engine import RowEngine, batch_counts, row_counts
 
 
 @pytest.fixture
@@ -91,6 +92,7 @@ class TestFingerprint:
 
 class TestCompiledSelector:
     def test_matches_interpreted_selector(self, wide_repo):
+        """The selector picks the rows ``predicate.matches`` picks."""
         engine = QueryEngine(wide_repo)
         from repro.query.engine import _CostMeter
 
@@ -100,7 +102,9 @@ class TestCompiledSelector:
         ))
         select = compile_selector(predicate)
         for batch in engine._view_batches("orders", _CostMeter()):
-            assert select(batch) == predicate.selector(batch)
+            assert select(batch) == [
+                i for i, row in enumerate(batch.to_rows()) if predicate.matches(row)
+            ]
 
     def test_narrows_candidates(self, wide_repo):
         engine = QueryEngine(wide_repo)
@@ -122,38 +126,47 @@ class TestCompiledSelector:
 
 
 class TestCompiledIdentity:
-    """Compiled output is indistinguishable from the interpreter's."""
+    """Compiled output is indistinguishable from the row oracle's."""
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_rows_and_charges_identical(self, wide_repo, query):
-        compiled_engine = QueryEngine(wide_repo)
-        interpreted_engine = QueryEngine(
-            wide_repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        )
-        compiled = compiled_engine.sql(query)
-        interpreted = interpreted_engine.sql(query)
-        assert compiled.rows == interpreted.rows
+        compiled = QueryEngine(wide_repo).sql(query)
+        oracle = RowEngine(wide_repo).sql(query)
+        assert compiled.rows == oracle.rows
         # same per-row charges, possibly summed in a different order
-        assert compiled.sim_ms == pytest.approx(interpreted.sim_ms)
-        assert compiled.operator_stats == interpreted.operator_stats
+        assert compiled.sim_ms == pytest.approx(oracle.sim_ms)
+        assert row_counts(compiled.operator_stats) == row_counts(oracle.operator_stats)
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_rows_match_row_engine(self, wide_repo, query):
-        compiled_engine = QueryEngine(wide_repo)
-        row_engine = QueryEngine(wide_repo, vectorized=False)
-        assert compiled_engine.sql(query).rows == row_engine.sql(query).rows
+        """Same again on small batches, where fused stages see many."""
+        compiled_engine = QueryEngine(wide_repo, batch_size=64)
+        assert compiled_engine.sql(query).rows == RowEngine(wide_repo).sql(query).rows
 
     def test_costbased_plans_compile_identically(self, wide_repo):
         query = QUERIES[7]
         compiled_engine = QueryEngine(wide_repo)
-        interpreted_engine = QueryEngine(
-            wide_repo, adaptive_config=AdaptiveConfig(compiled_pipelines=False)
-        )
         stats = compiled_engine.collect_statistics(["customers", "orders"])
         compiled = compiled_engine.sql(query, planner="costbased", statistics=stats)
-        interpreted = interpreted_engine.sql(query, planner="costbased", statistics=stats)
-        assert compiled.rows == interpreted.rows
-        assert compiled.sim_ms == pytest.approx(interpreted.sim_ms)
+        oracle = RowEngine(wide_repo).sql(query, planner="costbased", statistics=stats)
+        assert compiled.rows == oracle.rows
+        assert compiled.sim_ms == pytest.approx(oracle.sim_ms)
+
+    def test_batch_counters_pinned(self, wide_repo):
+        """Batch counters have no row-side twin; pin them on 500 orders
+        scanned as 8 batches of 64."""
+        engine = QueryEngine(wide_repo, batch_size=64)
+
+        def counters(query):
+            return batch_counts(engine.sql(query).operator_stats)
+
+        assert counters(QUERIES[2]) == {
+            "scan": (0, 8), "filter": (8, 8), "project": (8, 8),
+        }
+        assert counters(QUERIES[4]) == {
+            "scan": (0, 8), "filter": (8, 8), "aggregate": (8, 1),
+        }
+        assert counters(QUERIES[8]) == {"scan": (0, 8), "filter": (8, 0)}
 
 
 class TestFusedStages:

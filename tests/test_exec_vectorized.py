@@ -1,6 +1,6 @@
-"""Vectorized execution: ColumnBatch, batch operators, and the
-cross-engine guarantee that the vectorized and legacy row interpreters
-return identical rows (docs/EXECUTION.md)."""
+"""Vectorized execution: ColumnBatch, batch operators, and the guarantee
+that the engine's compiled pipelines return exactly what the row-at-a-time
+oracle (``tests/oracle/row_engine.py``) returns (docs/EXECUTION.md)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,23 +17,20 @@ from repro.exec.batch import (
 )
 from repro.exec.operators import (
     AggSpec,
+    GroupAggregator,
     OperatorStats,
-    filter_batches,
     group_aggregate,
-    group_aggregate_batches,
     hash_join,
     hash_join_batches,
     merge_joined_row,
-    project_batches,
-    project_rows,
-    selector_from_predicate,
     sort_batches,
     sort_rows,
     top_k,
-    top_k_batches,
 )
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
+from repro.query.adaptive import AdaptiveConfig
+from repro.query.compile import compile_selector
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.query.plans import (
     Aggregate,
@@ -48,6 +45,7 @@ from repro.query.plans import (
 )
 from repro.storage.store import DocumentStore
 from repro.workloads.relational import RelationalWorkload
+from tests.oracle.row_engine import RowEngine, batch_counts
 
 
 # ----------------------------------------------------------------------
@@ -126,33 +124,14 @@ class TestVectorizedOperators:
     def test_filter_matches_row_filter(self):
         predicate = Conjunction((Comparison("v", CompareOp.GT, 1.5),))
         expected = [r for r in ROWS if predicate.matches(r)]
-        out = rows_from_batches(
-            filter_batches(_batches(ROWS), predicate.selector)
-        )
+        select = compile_selector(predicate)
+        out = rows_from_batches(b.take(select(b)) for b in _batches(ROWS))
         assert out == expected
-
-    def test_selector_from_predicate_fallback(self):
-        out = rows_from_batches(
-            filter_batches(
-                _batches(ROWS), selector_from_predicate(lambda r: r["w"] is None)
-            )
-        )
-        assert out == [r for r in ROWS if r["w"] is None]
-
-    def test_project_matches_row_project(self):
-        expected = list(project_rows(ROWS, ["g", "w"]))
-        assert rows_from_batches(project_batches(_batches(ROWS), ["g", "w"])) == expected
 
     def test_sort_matches_row_sort(self):
         for descending in (False, True):
             expected = sort_rows(list(ROWS), ["v"], descending)
             got = sort_batches(_batches(ROWS), ["v"], descending).to_rows()
-            assert got == expected
-
-    def test_top_k_matches_row_top_k(self):
-        for descending in (False, True):
-            expected = top_k(list(ROWS), 3, "v", descending)
-            got = top_k_batches(_batches(ROWS), 3, "v", descending).to_rows()
             assert got == expected
 
     def test_group_aggregate_matches_row_aggregate(self):
@@ -165,8 +144,10 @@ class TestVectorizedOperators:
             AggSpec("hi", "max", "v"),
         ]
         expected = group_aggregate(ROWS, ["g"], aggs)
-        got = group_aggregate_batches(_batches(ROWS), ["g"], aggs).to_rows()
-        assert got == expected
+        aggregator = GroupAggregator(["g"], aggs)
+        for batch in _batches(ROWS):
+            aggregator.add_batch(batch)
+        assert aggregator.finish().to_rows() == expected
 
     def test_hash_join_matches_row_join(self):
         left = [{"k": 1, "x": "l1"}, {"k": 2, "x": "l2"}, {"k": None, "x": "l3"}]
@@ -180,11 +161,12 @@ class TestVectorizedOperators:
 
     def test_batch_stats_accounting(self):
         stats = OperatorStats()
-        predicate = Conjunction((Comparison("v", CompareOp.GT, 1.5),))
-        out = list(filter_batches(_batches(ROWS), predicate.selector, stats))
-        assert stats.rows_in == len(ROWS)
-        assert stats.rows_out == sum(b.length for b in out)
-        assert stats.batches_in == 3 and stats.batches_out == len(out)
+        keyed = [r for r in ROWS if r["g"] is not None]
+        out = list(hash_join_batches(_batches(ROWS), _batches(keyed), "g", "g", stats))
+        assert stats.rows_in == len(ROWS) + len(keyed)
+        assert stats.rows_out == sum(b.length for b in out) == 8
+        # 3 probe + 2 build batches in; the all-NULL-key probe batch joins nothing
+        assert stats.batches_in == 5 and stats.batches_out == len(out) == 2
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +258,7 @@ def _build_repo(n_customers=25, n_orders=120, with_nulls=True):
 @pytest.fixture(scope="module")
 def engines():
     repo = _build_repo()
-    return QueryEngine(repo, batch_size=32), QueryEngine(repo, vectorized=False)
+    return QueryEngine(repo, batch_size=32), RowEngine(repo)
 
 
 class TestEngineIntegration:
@@ -327,23 +309,51 @@ class TestEngineIntegration:
                 "relational",
                 table="orders",
             )
-        assert app.engine.vectorized is True
         result = app.sql("SELECT region, sum(amount) AS s FROM orders GROUP BY region")
         assert len(result.rows) == 4
         assert result.batches is not None
         snapshot = app.telemetry.snapshot()
         assert snapshot["counters"]["exec.batches"] >= 1
 
-    def test_config_row_engine_fallback(self):
-        app = Impliance(
-            ApplianceConfig(n_data_nodes=2, n_grid_nodes=1, vectorized=False)
-        )
-        for i in range(10):
-            app.ingest({"oid": i, "amount": float(i)}, "relational", table="orders")
-        assert app.engine.vectorized is False
-        result = app.sql("SELECT * FROM orders WHERE amount >= 5")
-        assert len(result.rows) == 5
-        assert result.batches is None
+    def test_batch_counters_pinned(self, engines):
+        """``batches_in``/``batches_out`` have no row-side twin to agree
+        with, so they are pinned: 140 orders scan as 5 batches of
+        ``batch_size=32``, and the last one (the small-amount NULL tail)
+        has no row above 100."""
+        vec, _ = engines
+
+        def counters(query):
+            return batch_counts(vec.sql(query).operator_stats)
+
+        assert counters("SELECT * FROM orders WHERE amount > 100") == {
+            "scan": (0, 5), "filter": (5, 4),
+        }
+        assert counters("SELECT oid FROM orders WHERE region = 'nowhere'") == {
+            "scan": (0, 5), "filter": (5, 0), "project": (0, 0),
+        }
+        assert counters(
+            "SELECT region, count(*) AS n FROM orders WHERE amount > 100 GROUP BY region"
+        ) == {"scan": (0, 5), "filter": (5, 4), "aggregate": (4, 1)}
+        assert counters("SELECT * FROM orders ORDER BY amount LIMIT 3") == {
+            "scan": (0, 5), "sort": (1, 1),
+        }
+        assert counters(
+            "SELECT * FROM orders JOIN customers ON cid = cid WHERE amount > 250"
+        ) == {"scan": (0, 5), "filter": (5, 4), "indexed_join": (0, 2)}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QueryEngine(_build_repo(2, 2, with_nulls=False), vectorized=False),
+            lambda: ApplianceConfig(vectorized=False),
+            lambda: AdaptiveConfig(compiled_pipelines=False),
+        ],
+        ids=["QueryEngine", "ApplianceConfig", "AdaptiveConfig"],
+    )
+    def test_engine_flags_are_gone(self, build):
+        """One engine: the two flags are removed, not accepted and ignored."""
+        with pytest.raises(TypeError):
+            build()
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +411,7 @@ class TestBatchShipping:
 
 
 # ----------------------------------------------------------------------
-# property test: both engines run the same random plans identically
+# property test: the engine and the oracle run the same random plans identically
 # ----------------------------------------------------------------------
 _PROP_REPO = None
 
@@ -410,10 +420,17 @@ def _prop_engines():
     global _PROP_REPO
     if _PROP_REPO is None:
         _PROP_REPO = _build_repo(n_customers=12, n_orders=60)
-    return (
-        QueryEngine(_PROP_REPO, batch_size=16),
-        QueryEngine(_PROP_REPO, vectorized=False),
-    )
+        # 0.0 is already a stored amount; -0.0 must keep its own
+        # dictionary code on the encoded filter path
+        _PROP_REPO.store.put(
+            from_relational_row(
+                "ord-negzero",
+                "orders",
+                {"oid": 999, "cid": 3, "amount": -0.0, "region": "east", "status": "open"},
+                primary_key=["oid"],
+            )
+        )
+    return QueryEngine(_PROP_REPO, batch_size=16), RowEngine(_PROP_REPO)
 
 
 _comparisons = st.one_of(
@@ -430,6 +447,8 @@ _comparisons = st.one_of(
     st.tuples(st.just("status"), st.just(CompareOp.EQ),
               st.sampled_from(["open", "shipped", "returned"])),
     st.tuples(st.just("cid"), st.just(CompareOp.EQ), st.integers(0, 14)),
+    st.tuples(st.just("amount"), st.just(CompareOp.CONTAINS),
+              st.sampled_from([-0.0, 0.0, "7."])),
 ).map(lambda t: Comparison(*t))
 
 _aggs = st.lists(
@@ -482,4 +501,5 @@ def test_property_engines_identical(plan):
     rv = vec.execute(plan)
     rr = row.execute(plan)
     assert rv.rows == rr.rows
+    assert repr(rv.rows) == repr(rr.rows)  # == cannot tell -0.0 from 0.0
     assert rv.sim_ms == pytest.approx(rr.sim_ms)

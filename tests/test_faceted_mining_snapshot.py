@@ -91,11 +91,11 @@ class TestSnapshotRepository:
 
     def test_appliance_as_of_sql(self):
         app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
-        app.ingest_row("prices", {"sku": 1, "price": 100.0}, doc_id="p1")
-        app.ingest_row("prices", {"sku": 2, "price": 200.0}, doc_id="p2")
+        app.ingest({"sku": 1, "price": 100.0}, table="prices", doc_id="p1")
+        app.ingest({"sku": 2, "price": 200.0}, table="prices", doc_id="p2")
         ts = app.cluster.clock.now
         app.update_document("p1", {"prices": {"sku": 1, "price": 150.0}})
-        app.ingest_row("prices", {"sku": 3, "price": 300.0}, doc_id="p3")
+        app.ingest({"sku": 3, "price": 300.0}, table="prices", doc_id="p3")
 
         then = app.as_of(ts).sql("SELECT sku, price FROM prices ORDER BY sku").rows
         now = app.sql("SELECT sku, price FROM prices ORDER BY sku").rows
@@ -106,10 +106,10 @@ class TestSnapshotRepository:
     def test_snapshot_joins_fall_back_to_hash(self):
         """No head indexes leak into the past: plans become scan-based."""
         app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
-        app.ingest_row("customers", {"cid": 1, "name": "Acme"})
-        app.ingest_row("orders", {"oid": 1, "cid": 1, "amount": 10.0})
+        app.ingest({"cid": 1, "name": "Acme"}, table="customers")
+        app.ingest({"oid": 1, "cid": 1, "amount": 10.0}, table="orders")
         ts = app.cluster.clock.now
-        app.ingest_row("orders", {"oid": 2, "cid": 1, "amount": 99.0})
+        app.ingest({"oid": 2, "cid": 1, "amount": 99.0}, table="orders")
         snapshot = app.as_of(ts)
         result = snapshot.sql(
             "SELECT name, amount FROM orders JOIN customers ON cid = cid"
@@ -119,7 +119,7 @@ class TestSnapshotRepository:
 
     def test_snapshot_at_time_zero_empty(self):
         app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
-        app.ingest_row("t", {"x": 1})
+        app.ingest({"x": 1}, table="t")
         assert app.as_of(0).doc_count() == 0
 
 

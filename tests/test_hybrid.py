@@ -114,8 +114,8 @@ class TestApplianceIntegration:
         app = Impliance(ApplianceConfig(
             n_data_nodes=2, n_grid_nodes=1, procedure_lexicon=("biopsy",)
         ))
-        app.ingest_text("the biopsy result arrived, great news", doc_id="note-pos")
-        app.ingest_text("weather is fine today", doc_id="note-noise")
+        app.ingest("the biopsy result arrived, great news", doc_id="note-pos")
+        app.ingest("weather is fine today", doc_id="note-noise")
         app.discover()
         hits = app.find(HybridQuery(annotated_with=["procedure_mention"]))
         assert [h.doc_id for h in hits] == ["note-pos"]
@@ -124,8 +124,8 @@ class TestApplianceIntegration:
         app = Impliance(ApplianceConfig(
             n_data_nodes=2, n_grid_nodes=1, procedure_lexicon=("biopsy",)
         ))
-        app.ingest_text("the biopsy went great, excellent care", doc_id="good")
-        app.ingest_text("the biopsy was botched, terrible experience", doc_id="bad")
+        app.ingest("the biopsy went great, excellent care", doc_id="good")
+        app.ingest("the biopsy was botched, terrible experience", doc_id="bad")
         app.discover()
         hits = app.find(
             HybridQuery(

@@ -280,56 +280,6 @@ class TestBatchRouting:
 
 
 # ----------------------------------------------------------------------
-# deprecated shims: one warning, identical results
-# ----------------------------------------------------------------------
-class TestDeprecatedShims:
-    def test_each_shim_warns_exactly_once(self):
-        app = make_app()
-        calls = [
-            lambda: app.ingest_row("t", {"k": 1}, doc_id="r1"),
-            lambda: app.ingest_text("free text", doc_id="t1"),
-            lambda: app.ingest_json({"a": 1}, doc_id="j1"),
-            lambda: app.ingest_xml("<r><v>1</v></r>", doc_id="x1"),
-            lambda: app.ingest_email(
-                "From: a@b.c\nTo: d@e.f\nSubject: s\n\nbody", doc_id="e1"
-            ),
-            lambda: app.ingest_csv("c", "a,b\n1,2"),
-        ]
-        for call in calls:
-            with pytest.warns(DeprecationWarning) as record:
-                call()
-            assert len(record) == 1
-
-    def test_shim_results_byte_identical_to_ingest(self):
-        """Every shim produces byte-identical stored documents to the
-        unified ingest() call it deprecates (fresh appliances, same ids
-        and clocks on both sides)."""
-        shim_app, unified_app = make_app(), make_app()
-        with pytest.warns(DeprecationWarning):
-            via_shim = [
-                shim_app.ingest_row("t", {"k": 1}, doc_id="r1"),
-                shim_app.ingest_text("free text", doc_id="t1"),
-                shim_app.ingest_json({"a": {"b": 2}}, doc_id="j1"),
-                shim_app.ingest_xml("<r><v>1</v></r>", doc_id="x1"),
-                shim_app.ingest_email(
-                    "From: a@b.c\nTo: d@e.f\nSubject: s\n\nbody", doc_id="e1"
-                ),
-                *shim_app.ingest_csv("c", "a,b\n1,2\n3,4"),
-            ]
-        via_unified = [
-            unified_app.ingest({"k": 1}, "relational", table="t", doc_id="r1"),
-            unified_app.ingest("free text", "text", doc_id="t1"),
-            unified_app.ingest({"a": {"b": 2}}, "json", doc_id="j1"),
-            unified_app.ingest("<r><v>1</v></r>", "xml", doc_id="x1"),
-            unified_app.ingest(
-                "From: a@b.c\nTo: d@e.f\nSubject: s\n\nbody", "email", doc_id="e1"
-            ),
-            *unified_app.ingest("a,b\n1,2\n3,4", "csv", table="c"),
-        ]
-        assert [d.to_json() for d in via_shim] == [d.to_json() for d in via_unified]
-
-
-# ----------------------------------------------------------------------
 # deferred index maintenance: apply_pending budget edges
 # ----------------------------------------------------------------------
 class TestApplyPendingBudget:

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.topology import ImplianceCluster
 from repro.core.appliance import Impliance
 from repro.core.config import ApplianceConfig
-from repro.exec.parallel import ExecReport, ParallelExecutor, StageTiming
+from repro.exec.parallel import ExecReport, StageTiming
 from repro.model.converters import from_text
 from repro.query.planner import PhysHashJoin, PhysIndexedJoin
 from repro.query.plans import ScanView
@@ -30,20 +30,6 @@ class TestExecReport:
         report.record(StageTiming("a", 5.0, 1))
         report.record(StageTiming("b", 3.0, 1))
         assert report.finish_ms == 5.0
-
-
-class TestComputeIndexedJoin:
-    def test_probe_function_drives_join(self):
-        cluster = ImplianceCluster(n_data=1, n_grid=1)
-        executor = ParallelExecutor(cluster)
-        left = [{"k": 1}, {"k": 2}, {"k": None}]
-        lookup = {1: [{"k": 1, "v": "one"}], 2: []}
-        node = cluster.grid_nodes[0]
-        rows, finish = executor.compute_indexed_join(
-            left, "k", lambda key: lookup.get(key, []), node, after=0.0
-        )
-        assert rows == [{"k": 1, "v": "one"}]
-        assert finish > 0
 
 
 class TestClusterExtras:
@@ -77,23 +63,23 @@ class TestApplianceConveniences:
         return Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
 
     def test_ingest_csv(self, app):
-        docs = app.ingest_csv("log", "level,msg\ninfo,started\nwarn,slow\n")
+        docs = app.ingest("level,msg\ninfo,started\nwarn,slow\n", table="log")
         assert len(docs) == 2
         rows = app.sql("SELECT level FROM log ORDER BY level").rows
         assert [r["level"] for r in rows] == ["info", "warn"]
 
     def test_ingest_json(self, app):
-        doc = app.ingest_json({"deep": {"nested": [1, 2, 3]}}, metadata={"src": "api"})
+        doc = app.ingest({"deep": {"nested": [1, 2, 3]}}, metadata={"src": "api"})
         assert app.lookup(doc.doc_id).metadata["src"] == "api"
 
     def test_explicit_doc_ids_respected(self, app):
-        doc = app.ingest_text("hello", doc_id="my-id")
+        doc = app.ingest("hello", doc_id="my-id")
         assert doc.doc_id == "my-id"
         assert app.lookup("my-id") is not None
 
     def test_doc_count_property(self, app):
-        app.ingest_text("a")
-        app.ingest_text("b")
+        app.ingest("a")
+        app.ingest("b")
         assert app.doc_count == 2
 
     def test_search_empty_appliance(self, app):
@@ -104,7 +90,7 @@ class TestApplianceConveniences:
             app.sql("SELECT * FROM never_ingested")
 
     def test_duplicate_view_definition_rejected(self, app):
-        app.ingest_row("t", {"a": 1})
+        app.ingest({"a": 1}, table="t")
         from repro.model.views import base_table_view
 
         with pytest.raises(ValueError):

@@ -6,13 +6,10 @@ from repro.exec.operators import (
     AggSpec,
     AggregationTypeError,
     OperatorStats,
-    filter_rows,
     group_aggregate,
     hash_join,
-    indexed_nl_join,
     merge_partial_aggregates,
     partial_aggregate,
-    project_rows,
     sort_rows,
     top_k,
 )
@@ -29,18 +26,6 @@ CUSTOMERS = [
     {"cid": 2, "name": "Beta"},
     {"cid": 9, "name": "Nobody"},
 ]
-
-
-class TestFilterProject:
-    def test_filter(self):
-        stats = OperatorStats()
-        out = list(filter_rows(ORDERS, lambda r: r["amount"] > 90, stats))
-        assert [r["oid"] for r in out] == [1, 2, 4]
-        assert stats.rows_in == 5 and stats.rows_out == 3
-
-    def test_project(self):
-        out = list(project_rows(ORDERS[:1], ["oid", "missing"]))
-        assert out == [{"oid": 1, "missing": None}]
 
 
 class TestHashJoin:
@@ -72,24 +57,6 @@ class TestHashJoin:
         list(hash_join(ORDERS, CUSTOMERS, "cid", "cid", stats))
         assert stats.rows_in == len(ORDERS) + len(CUSTOMERS)
         assert stats.rows_out == 4
-
-
-class TestIndexedJoin:
-    def probe(self, key):
-        return [c for c in CUSTOMERS if c["cid"] == key]
-
-    def test_same_result_as_hash_join(self):
-        via_hash = sorted(
-            str(sorted(r.items())) for r in hash_join(ORDERS, CUSTOMERS, "cid", "cid")
-        )
-        via_index = sorted(
-            str(sorted(r.items())) for r in indexed_nl_join(ORDERS, "cid", self.probe)
-        )
-        assert via_hash == via_index
-
-    def test_none_key_skipped(self):
-        out = list(indexed_nl_join([{"cid": None}], "cid", self.probe))
-        assert out == []
 
 
 class TestSortTopK:

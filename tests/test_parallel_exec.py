@@ -189,11 +189,12 @@ class TestComputeHelpers:
         partitions = executor.scan(order_extract, report=report)
         dest = cluster.grid_nodes[0]
         rows, ready = executor.gather(partitions, dest, report=report)
-        rows, ready = executor.compute_filter(rows, lambda r: r["amount"] > 250, dest, ready, report=report)
-        rows, ready = executor.compute_sort(rows, ["amount"], dest, ready, descending=True, report=report)
-        rows, ready = executor.compute_top_k(rows, 5, "amount", dest, ready, report=report)
-        assert len(rows) == 5
-        assert rows[0]["amount"] >= rows[-1]["amount"]
+        kept, ready = executor.compute_filter(rows, lambda r: r["amount"] > 250, dest, ready, report=report)
+        assert 0 < len(kept) < len(rows)
+        groups, ready = executor.compute_aggregate(
+            kept, ["region"], [AggSpec("n", "count")], dest, ready, report=report
+        )
+        assert sum(g["n"] for g in groups) == len(kept)
         assert report.finish_ms == ready
         # stages are monotone in time
         times = [s.finish_ms for s in report.stages]

@@ -16,8 +16,8 @@ from repro.storage.lineage import LineageIndex
 class TestSecureGraphInterface:
     def test_graph_over_secured_session(self):
         app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
-        a = app.ingest_text("doc a", doc_id="a")
-        b = app.ingest_text("doc b", doc_id="b")
+        a = app.ingest("doc a", doc_id="a")
+        b = app.ingest("doc b", doc_id="b")
         app.indexes.joins.add(JoinEdge("rel", "a", "b"))
         policy = AccessPolicy([Rule("all", ["user"], [Action.READ, Action.QUERY])])
         session = app.secure_session(Principal("u", ["user"]), policy)
@@ -26,7 +26,7 @@ class TestSecureGraphInterface:
 
     def test_audit_context_recorded(self):
         app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
-        app.ingest_text("needle in haystack", doc_id="n1")
+        app.ingest("needle in haystack", doc_id="n1")
         policy = AccessPolicy([Rule("all", ["user"], [Action.READ, Action.QUERY])])
         session = app.secure_session(Principal("u", ["user"]), policy)
         session.search("needle")
@@ -38,7 +38,7 @@ class TestSecureGraphInterface:
         app = Impliance(ApplianceConfig(
             n_data_nodes=2, n_grid_nodes=1, product_lexicon=("WidgetPro",)
         ))
-        app.ingest_text("the WidgetPro report", doc_id="t1")
+        app.ingest("the WidgetPro report", doc_id="t1")
         app.discover()
         policy = AccessPolicy([
             Rule("all", ["user"], [Action.READ, Action.QUERY]),

@@ -155,9 +155,9 @@ class TestAuditLog:
 @pytest.fixture
 def secured_app():
     app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
-    app.ingest_row("orders", {"oid": 1, "amount": 10.0}, doc_id="o1")
-    app.ingest_row("salaries", {"emp": 1, "amount": 90000.0}, doc_id="s1")
-    app.ingest_text("public product announcement for everyone", doc_id="m1")
+    app.ingest({"oid": 1, "amount": 10.0}, table="orders", doc_id="o1")
+    app.ingest({"emp": 1, "amount": 90000.0}, table="salaries", doc_id="s1")
+    app.ingest("public product announcement for everyone", doc_id="m1")
     policy = AccessPolicy(
         [
             Rule("read-most", ["analyst"], [Action.READ, Action.QUERY]),
@@ -188,8 +188,8 @@ class TestSecureSession:
         # One fetch per candidate: the top-k used to be read (and audited)
         # a second time through SecureSession.lookup.
         app, policy = secured_app
-        app.ingest_text("second public announcement", doc_id="m2")
-        app.ingest_row("salaries", {"emp": 2, "note": "announcement"}, doc_id="s2")
+        app.ingest("second public announcement", doc_id="m2")
+        app.ingest({"emp": 2, "note": "announcement"}, table="salaries", doc_id="s2")
         session = app.connect(Principal("alice", ["analyst"]), policy=policy)
         hits = session.search("announcement").hits
         assert sorted(h.doc_id for h in hits) == ["m1", "m2"]

@@ -1,5 +1,5 @@
 """The unified public surface: one ingest() entry point, one QueryResult
-shape, deprecated shims, telemetry-backed stats()."""
+shape, telemetry-backed stats()."""
 
 from __future__ import annotations
 
@@ -78,32 +78,6 @@ class TestUnifiedIngest:
         assert stats["counters"]["ingest.docs"] == 2
         assert stats["counters"]["ingest.format.text"] == 1
         assert stats["counters"]["ingest.format.email"] == 1
-
-
-class TestDeprecatedShims:
-    def test_each_shim_warns_and_still_works(self, app):
-        with pytest.warns(DeprecationWarning):
-            t = app.ingest_text("free text")
-        with pytest.warns(DeprecationWarning):
-            r = app.ingest_row("products", {"pid": 1, "name": "WidgetPro"})
-        with pytest.warns(DeprecationWarning):
-            j = app.ingest_json({"a": {"b": 1}})
-        with pytest.warns(DeprecationWarning):
-            x = app.ingest_xml(XML)
-        with pytest.warns(DeprecationWarning):
-            e = app.ingest_email(EMAIL)
-        with pytest.warns(DeprecationWarning):
-            c = app.ingest_csv("orders", CSV)
-        formats = [d.source_format for d in (t, r, j, x, e, *c)]
-        assert formats == ["text", "relational", "json", "xml", "email", "csv", "csv"]
-        assert app.doc_count == 7
-
-    def test_shim_matches_unified_dispatch(self, app):
-        with pytest.warns(DeprecationWarning):
-            via_shim = app.ingest_row("t", {"k": 1}, doc_id="a")
-        via_unified = app.ingest({"k": 1}, table="t", doc_id="b")
-        assert via_shim.content == via_unified.content
-        assert via_shim.source_format == via_unified.source_format
 
 
 class TestUnifiedResults:

@@ -36,7 +36,7 @@ CHECKS = [
     (
         "BENCH_exec.json",
         "benchmarks/bench_exec_vectorized.py",
-        ["speedup", "columnar.speedup"],
+        ["columnar.speedup"],
     ),
     (
         "BENCH_cache.json",
@@ -46,7 +46,7 @@ CHECKS = [
     (
         "BENCH_adaptive.json",
         "benchmarks/bench_adaptive.py",
-        ["compiled.speedup", "chaos.sim_speedup"],
+        ["chaos.sim_speedup"],
     ),
 ]
 
