@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint verify smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-smoke ivm-test storage-smoke storage-test recovery-smoke recovery-test adaptive-smoke adaptive-test e2e-smoke perf-regress coverage bench
+.PHONY: test lint verify smoke chaos-smoke exec-smoke cache-smoke ingest-smoke ivm-smoke ivm-test storage-smoke storage-test recovery-smoke recovery-test adaptive-smoke adaptive-test e2e-smoke perf-regress coverage bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,9 +34,6 @@ cache-smoke:
 
 ingest-smoke:
 	$(PYTHON) benchmarks/bench_ingest.py --quick
-
-serving-smoke:
-	$(PYTHON) benchmarks/bench_serving.py --quick
 
 ivm-smoke:
 	$(PYTHON) benchmarks/bench_ivm.py --quick
@@ -99,17 +96,16 @@ coverage:
 # a fast fault-injection/availability smoke, the columnar-scan
 # speedup smoke (writes BENCH_exec.json), the cache-hierarchy speedup
 # smoke (writes BENCH_cache.json), the batched-ingest speedup smoke
-# (writes BENCH_ingest.json), the multi-tenant serving smoke (writes
-# BENCH_serving.json; also runs under `pytest -m serving`), the
-# ivm-marked differential tests, the incremental-maintenance smoke
-# (writes BENCH_ivm.json), the columnar stored-bytes smoke (writes
-# BENCH_storage.json), and the point-in-time recovery smoke asserting
+# (writes BENCH_ingest.json), the ivm-marked differential tests, the
+# incremental-maintenance smoke (writes BENCH_ivm.json), the columnar
+# stored-bytes smoke (writes BENCH_storage.json), and the
+# point-in-time recovery smoke asserting
 # RPO=0 under a mid-ingest crash (writes BENCH_recovery.json), the
 # adaptive-marked equivalence properties, the re-optimization smoke
 # (writes BENCH_adaptive.json), the end-to-end benchmark's check +
 # quick round, and the perf-regression gate over the committed
 # headline speedups.
-verify: lint test smoke chaos-smoke exec-smoke cache-smoke ingest-smoke serving-smoke ivm-test ivm-smoke storage-smoke recovery-smoke adaptive-test adaptive-smoke e2e-smoke perf-regress
+verify: lint test smoke chaos-smoke exec-smoke cache-smoke ingest-smoke ivm-test ivm-smoke storage-smoke recovery-smoke adaptive-test adaptive-smoke e2e-smoke perf-regress
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

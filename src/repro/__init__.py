@@ -25,18 +25,15 @@ from repro.model.document import Document, DocumentKind
 from repro.obs import Telemetry, format_snapshot
 from repro.query.result import QueryResult
 from repro.security.policy import Principal
-from repro.serving import ServingConfig, Session, TenantSpec, WorkloadDriver
+from repro.serving import Session
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Impliance",
     "ApplianceConfig",
-    "ServingConfig",
     "Session",
     "Principal",
-    "TenantSpec",
-    "WorkloadDriver",
     "ChaosController",
     "Document",
     "DocumentKind",

@@ -46,12 +46,12 @@ from repro.query.materialized import MaterializationManager, MaterializedQuery
 from repro.query.graph import GraphQuery
 from repro.query.result import QueryResult
 from repro.security.policy import Principal
-from repro.serving import RequestScheduler, Session
+from repro.serving import QOS_INTERACTIVE, QOS_TIERS, RequestScheduler, Session
 from repro.storage.compression import DictionaryCompressor
 from repro.storage.recovery import ContinuousReplicator, RecoveryError, RestoreReport
 from repro.storage.replication import ReplicaManager
 from repro.storage.store import DocumentStore
-from repro.util import IdGenerator
+from repro.util import IdGenerator, validate_choice
 from repro.virt.execmgr import ExecutionManager, Task, TaskClass
 from repro.virt.storagemgr import StorageManager
 
@@ -139,11 +139,10 @@ class Impliance:
         # The staged write path every public ingest entry point funnels
         # through (a single document is a batch of one).
         self.ingest_pipeline = IngestPipeline(self, self.config.ingest)
-        # The serving layer: every session request passes this
-        # scheduler's per-tenant admission control and fair-share
-        # dispatch (docs/SERVING.md).
+        # The serving layer: every session request runs through this
+        # scheduler, which counts it per tenant and QoS tier
+        # (docs/SERVING.md).
         self.serving = RequestScheduler(
-            self.config.serving,
             telemetry=self.telemetry if self.telemetry.enabled else None,
         )
         # Standing queries: result deltas pushed per invalidation epoch,
@@ -569,11 +568,11 @@ class Impliance:
         """Open a tenant-bound :class:`~repro.serving.Session`.
 
         Every request issued on the session is attributed to the
-        principal's tenant, admitted under the serving layer's quotas
-        and QoS fair share, and — when *policy* is given — enforced on
-        the hot path at the repository boundary.  *qos* is one of
-        ``"interactive"``, ``"batch"``, ``"discovery"`` (default from
-        :class:`~repro.serving.ServingConfig`).
+        principal's tenant and the session's QoS tier in
+        ``stats()["serving"]``, and — when *policy* is given — enforced
+        on the hot path at the repository boundary.  *qos* is one of
+        ``"interactive"`` (the default), ``"batch"``, ``"discovery"``;
+        anything else raises ``ValueError``.
         """
         if principal is None:
             principal = Principal("default", ("system",))
@@ -582,11 +581,14 @@ class Impliance:
                 f"connect(principal=...) takes a repro.security.Principal, "
                 f"got {type(principal).__name__}: {principal!r}"
             )
+        if qos is None:
+            qos = QOS_INTERACTIVE
+        validate_choice("Impliance.connect", "qos", qos, QOS_TIERS)
         self._session_count += 1
         return Session(
             self,
             principal,
-            qos if qos is not None else self.config.serving.default_qos,
+            qos,
             policy=policy,
             audit=audit,
             tenant=tenant,
@@ -709,8 +711,8 @@ class Impliance:
         principal (Section 4 security extension).  All query interfaces
         work on the returned session exactly as on the appliance.
 
-        Prefer :meth:`connect` with ``policy=`` — it layers the same
-        enforcement under the serving scheduler's admission control.
+        Prefer :meth:`connect` with ``policy=`` — it applies the same
+        enforcement and attributes each request to the principal's tenant.
         """
         from repro.security.enforcement import SecureSession
 

@@ -15,7 +15,6 @@ from repro.cache.config import CacheConfig
 from repro.cluster.network import DEFAULT_BANDWIDTH_BYTES_PER_MS, DEFAULT_LATENCY_MS
 from repro.ingest.config import IngestConfig
 from repro.query.adaptive import AdaptiveConfig
-from repro.serving.config import ServingConfig
 from repro.storage.recovery import RecoveryConfig
 from repro.util import validate_positive
 
@@ -47,10 +46,6 @@ class ApplianceConfig:
     #: Batched write path: group-commit batch size, staging-queue bound,
     #: and the admission policy when the queue is full (docs/INGEST.md).
     ingest: IngestConfig = field(default_factory=IngestConfig)
-    #: Multi-tenant serving layer: tenant quotas, QoS fair-share weights,
-    #: and scheduler knobs (docs/SERVING.md).  Validated through the same
-    #: shared helpers as ``cache`` and ``ingest``.
-    serving: ServingConfig = field(default_factory=ServingConfig)
     #: Continuous replication / point-in-time recovery: snapshot cadence
     #: and the off switch (docs/RECOVERY.md).
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)

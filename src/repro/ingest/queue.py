@@ -5,22 +5,19 @@ flow rather than blocked threads: :meth:`BackpressureQueue.admit` either
 accepts an item or reports why not.  Under ``"block"`` admission a full
 queue *stalls* the producer — it must drain a batch downstream and
 re-offer; each stall is counted and exported as the
-``<prefix>.backpressure_stalls`` counter.  Under ``"shed"`` admission the
+``ingest.backpressure_stalls`` counter.  Under ``"shed"`` admission the
 item is dropped and counted instead — load shedding for streams where
 staleness beats queueing collapse.  Queue depth is exported as the
-``<prefix>.queue_depth`` gauge after every transition.
+``ingest.queue_depth`` gauge after every transition.
 
-Two subsystems stage through this machinery: the ingest pipeline (one
-queue, ``ingest.*`` metrics) and the serving layer's request scheduler
-(one queue per tenant×QoS lane, ``serving.tenant.<t>.*`` metrics plus an
-``on_outcome`` hook so no admission outcome is ever silently dropped).
+The ingest pipeline stages through one such queue (``ingest.*`` metrics).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Generic, List, Optional, TypeVar
+from typing import Deque, Generic, List, TypeVar
 
 from repro.ingest.config import ADMISSION_SHED, IngestConfig
 
@@ -41,37 +38,13 @@ class QueueStats:
 
 
 class BackpressureQueue(Generic[T]):
-    """Bounded FIFO with explicit admission control.
+    """Bounded FIFO with explicit admission control, sized and
+    policed by an :class:`IngestConfig`."""
 
-    Constructed either from an :class:`IngestConfig` (the ingest staging
-    queue) or from explicit ``capacity=`` / ``shed_on_full=`` keywords
-    (the serving scheduler's per-tenant lanes).  *metric_prefix* names
-    the exported counters/gauges; *on_outcome* is called with every
-    admission outcome (``admitted``/``stalled``/``shed``) so owners can
-    attribute outcomes per tenant instead of losing them in a global sum.
-    """
-
-    def __init__(
-        self,
-        config: Optional[IngestConfig] = None,
-        telemetry=None,
-        *,
-        capacity: Optional[int] = None,
-        shed_on_full: Optional[bool] = None,
-        metric_prefix: str = "ingest",
-        on_outcome: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        if config is not None:
-            capacity = config.queue_capacity if capacity is None else capacity
-            if shed_on_full is None:
-                shed_on_full = config.admission == ADMISSION_SHED
-        if capacity is None:
-            raise ValueError("BackpressureQueue needs a config or capacity=")
-        self.capacity = capacity
-        self.shed_on_full = bool(shed_on_full)
+    def __init__(self, config: IngestConfig, telemetry=None) -> None:
+        self.capacity = config.queue_capacity
+        self.shed_on_full = config.admission == ADMISSION_SHED
         self.telemetry = telemetry
-        self.metric_prefix = metric_prefix
-        self.on_outcome = on_outcome
         self.stats = QueueStats()
         self._items: Deque[T] = deque()
 
@@ -86,13 +59,7 @@ class BackpressureQueue(Generic[T]):
 
     def _gauge(self) -> None:
         if self.telemetry is not None:
-            self.telemetry.set_gauge(
-                f"{self.metric_prefix}.queue_depth", len(self._items)
-            )
-
-    def _record(self, outcome: str) -> None:
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
+            self.telemetry.set_gauge("ingest.queue_depth", len(self._items))
 
     # ------------------------------------------------------------------
     def admit(self, item: T, can_shed: bool = True) -> str:
@@ -108,18 +75,15 @@ class BackpressureQueue(Generic[T]):
             if self.shed_on_full and can_shed:
                 self.stats.shed += 1
                 if self.telemetry is not None:
-                    self.telemetry.inc(f"{self.metric_prefix}.shed")
-                self._record(SHED)
+                    self.telemetry.inc("ingest.shed")
                 return SHED
             self.stats.stalls += 1
             if self.telemetry is not None:
-                self.telemetry.inc(f"{self.metric_prefix}.backpressure_stalls")
-            self._record(STALLED)
+                self.telemetry.inc("ingest.backpressure_stalls")
             return STALLED
         self._items.append(item)
         self.stats.enqueued += 1
         self._gauge()
-        self._record(ADMITTED)
         return ADMITTED
 
     def take_batch(self, limit: int) -> List[T]:
@@ -130,29 +94,3 @@ class BackpressureQueue(Generic[T]):
             self.stats.drained += len(batch)
             self._gauge()
         return batch
-
-    def withdraw_newest(self) -> Optional[T]:
-        """Remove and return the most recently staged item *without*
-        counting it as shed — the serving layer's inline path admits a
-        request and services it in the same synchronous step."""
-        if not self._items:
-            return None
-        item = self._items.pop()
-        self.stats.drained += 1
-        self._gauge()
-        return item
-
-    def evict_newest(self) -> Optional[T]:
-        """Drop and return the most recently staged item, counting it as
-        shed — the serving scheduler's QoS-aware victim eviction: when
-        the global cap is hit by higher-priority work, the youngest item
-        of the lowest tier gives up its slot."""
-        if not self._items:
-            return None
-        victim = self._items.pop()
-        self.stats.shed += 1
-        if self.telemetry is not None:
-            self.telemetry.inc(f"{self.metric_prefix}.shed")
-        self._gauge()
-        self._record(SHED)
-        return victim

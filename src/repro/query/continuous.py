@@ -23,8 +23,8 @@ Mechanics:
   tokenization the text index uses), deletes drop ids — O(delta) with no
   index probe at all.
 * **Delivery** flows through the serving scheduler as ``discovery``-tier
-  work by default: under overload the notification is shed, the
-  subscription keeps its last-delivered snapshot, and the next epoch's
+  work by default.  A notification whose evaluation raises leaves the
+  subscription at its last-delivered snapshot, and the next epoch's
   delta covers both — a lagging subscriber coalesces instead of losing
   changes.  Replaying every delivered delta from empty always
   reconstructs the current result (the property
@@ -44,10 +44,7 @@ from repro.index.text import tokenize
 from repro.query.ivm import NonMaintainable, ViewMaintainer, analyze
 from repro.query.plans import base_views
 from repro.query.sql import SqlError, parse_sql
-from repro.serving.scheduler import Request, RequestShed
-
-#: Virtual service demand charged per delivered notification.
-NOTIFY_COST_MS = 0.5
+from repro.serving.scheduler import Request
 
 
 def _row_key(row: Row) -> str:
@@ -72,7 +69,6 @@ class SubscriptionDelta:
 class SubscriptionStats:
     notifications: int = 0   #: deltas delivered (incl. the initial snapshot)
     empty_epochs: int = 0    #: evaluations whose diff was empty (suppressed)
-    shed: int = 0            #: notifications shed by the scheduler
     rebuilds: int = 0        #: full re-evaluations (fallback path)
     incremental_applies: int = 0
 
@@ -120,7 +116,7 @@ class Subscription:
         self._matched: Set[str] = set()
         self._delivered_ids: Set[str] = set()
         #: True when an epoch touched this subscription but its
-        #: notification has not been delivered yet (shed, or pending).
+        #: notification has not been delivered yet (failed, or pending).
         self._lagging = False
 
     # ------------------------------------------------------------------
@@ -299,8 +295,8 @@ class SubscriptionManager:
     # delivery
     # ------------------------------------------------------------------
     def _schedule(self, subscription: Subscription, epoch: int) -> None:
-        """Push one notification through the scheduler; a shed leaves the
-        subscription lagging, to be coalesced into the next epoch."""
+        """Push one notification through the scheduler; a failure leaves
+        the subscription lagging, to be coalesced into the next epoch."""
         subscription._lagging = True
         scheduler = getattr(self.appliance, "serving", None)
         if scheduler is None:
@@ -311,18 +307,15 @@ class SubscriptionManager:
             qos=subscription.qos,
             kind="notify",
             fn=lambda: self._evaluate_and_deliver(subscription, epoch),
-            cost_ms=NOTIFY_COST_MS,
         )
         try:
             scheduler.execute_inline(request)
-        except RequestShed:
-            subscription.stats.shed += 1
-            self._inc("sub.notify.shed")
-        except Exception:
+        except Exception as exc:
             # A broken standing query must never fail the write that
             # triggered it; the subscription stays lagging and will retry
             # on the next epoch.
             self._inc("sub.notify.error")
+            self._inc(f"sub.notify.error.{type(exc).__name__}")
 
     def _evaluate_and_deliver(self, subscription: Subscription, epoch: int) -> None:
         if subscription.closed:

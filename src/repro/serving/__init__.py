@@ -1,12 +1,9 @@
-"""The concurrent multi-tenant serving layer (docs/SERVING.md).
+"""The multi-tenant serving layer (docs/SERVING.md).
 
-Everything a shared appliance needs between "a request arrived" and "the
-engine ran it": per-tenant admission control reusing the ingest
-:class:`~repro.ingest.queue.BackpressureQueue` block/shed machinery, a
-weighted fair-share scheduler over tenant×QoS lanes, sessions that bind
-every request to a :class:`~repro.security.policy.Principal`, and a
-workload driver that replays closed- and open-loop arrival processes
-over the :mod:`repro.workloads` corpora in deterministic virtual time.
+Sessions bind every request to a
+:class:`~repro.security.policy.Principal`'s tenant and a QoS tier; the
+:class:`RequestScheduler` runs each request synchronously and counts its
+outcome per tenant and tier.
 """
 
 from repro.serving.config import (
@@ -14,30 +11,16 @@ from repro.serving.config import (
     QOS_DISCOVERY,
     QOS_INTERACTIVE,
     QOS_TIERS,
-    ServingConfig,
 )
 from repro.serving.scheduler import Request, RequestScheduler
 from repro.serving.session import Session
-from repro.serving.driver import (
-    ArrivalSpec,
-    ServingReport,
-    TenantSpec,
-    WorkloadDriver,
-    percentile,
-)
 
 __all__ = [
     "QOS_BATCH",
     "QOS_DISCOVERY",
     "QOS_INTERACTIVE",
     "QOS_TIERS",
-    "ServingConfig",
     "Request",
     "RequestScheduler",
     "Session",
-    "ArrivalSpec",
-    "ServingReport",
-    "TenantSpec",
-    "WorkloadDriver",
-    "percentile",
 ]

@@ -1,125 +1,10 @@
-"""Serving-layer configuration (the ``ApplianceConfig(serving=...)`` knob).
-
-Like :class:`~repro.cache.config.CacheConfig` and
-:class:`~repro.ingest.config.IngestConfig`, the defaults are the product:
-admission control and fair-share scheduling are on out of the box, sized
-for the simulated appliance, and validated through the same shared
-helpers so all three sub-configs reject bad values the same way.
-"""
+"""The QoS tiers a session or standing query is attributed to."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Tuple
+from typing import Tuple
 
-from repro.util import validate_choice, validate_positive, validate_that
-
-#: QoS tiers, highest priority first.  Interactive traffic is the last
-#: to be shed; discovery (background enrichment sweeps) the first.
 QOS_INTERACTIVE = "interactive"
 QOS_BATCH = "batch"
 QOS_DISCOVERY = "discovery"
 QOS_TIERS: Tuple[str, ...] = (QOS_INTERACTIVE, QOS_BATCH, QOS_DISCOVERY)
-
-#: Default fair-share weights per tier (relative service rates under
-#: contention — interactive gets 8 dispatch slots for every 1 discovery).
-DEFAULT_QOS_WEIGHTS: Mapping[str, int] = {
-    QOS_INTERACTIVE: 8,
-    QOS_BATCH: 2,
-    QOS_DISCOVERY: 1,
-}
-
-
-def tier_priority(qos: str) -> int:
-    """Smaller is more important; used for shed ordering."""
-    return QOS_TIERS.index(qos)
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Tenant quotas, QoS weights, and scheduler knobs.
-
-    Parameters
-    ----------
-    max_concurrency:
-        Requests the appliance services simultaneously in the dispatch
-        loop (the virtual-time "server slots" of the workload driver).
-    global_queue_cap:
-        Total staged requests across every tenant.  When hit, admission
-        becomes QoS-aware: an arriving request of a higher tier evicts
-        the youngest staged request of the lowest backlogged tier; an
-        arriving request with nothing lower-priority to evict is itself
-        stalled or shed by its tier's policy.
-    tenant_queue_cap:
-        Staged-request quota per tenant (across its QoS lanes) unless
-        overridden in *tenant_quotas*.
-    tenant_quotas:
-        Per-tenant overrides of *tenant_queue_cap*, keyed by tenant name.
-    qos_weights:
-        Fair-share weight per QoS tier; every tier must have a positive
-        weight.  Dispatch uses stride scheduling over tenant×tier lanes,
-        so a tenant with pending work is never starved regardless of the
-        weights.
-    block_tiers:
-        Tiers whose requests stall (retry after *retry_backoff_ms*)
-        rather than shed when their queue or quota is full.  Interactive
-        blocks by default — a user at a console prefers waiting to an
-        error; batch and discovery shed.
-    retry_backoff_ms:
-        Virtual-time backoff before a stalled request is re-offered.
-    default_qos:
-        Tier assigned to sessions that do not pick one.
-    """
-
-    max_concurrency: int = 4
-    global_queue_cap: int = 4096
-    tenant_queue_cap: int = 1024
-    tenant_quotas: Mapping[str, int] = field(default_factory=dict)
-    qos_weights: Mapping[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_QOS_WEIGHTS)
-    )
-    block_tiers: Tuple[str, ...] = (QOS_INTERACTIVE,)
-    retry_backoff_ms: float = 5.0
-    default_qos: str = QOS_INTERACTIVE
-
-    def __post_init__(self) -> None:
-        validate_positive(
-            "ServingConfig",
-            max_concurrency=self.max_concurrency,
-            global_queue_cap=self.global_queue_cap,
-            tenant_queue_cap=self.tenant_queue_cap,
-            retry_backoff_ms=self.retry_backoff_ms,
-        )
-        validate_choice("ServingConfig", "default_qos", self.default_qos, QOS_TIERS)
-        for tier in self.block_tiers:
-            validate_choice("ServingConfig", "block_tiers", tier, QOS_TIERS)
-        for tier, weight in self.qos_weights.items():
-            validate_choice("ServingConfig", "qos_weights", tier, QOS_TIERS)
-            validate_positive("ServingConfig", **{f"qos_weights[{tier}]": weight})
-        for tier in QOS_TIERS:
-            validate_that(
-                "ServingConfig",
-                tier in self.qos_weights,
-                f"qos_weights must cover tier {tier!r}",
-            )
-        for tenant, quota in self.tenant_quotas.items():
-            validate_positive("ServingConfig", **{f"tenant_quotas[{tenant}]": quota})
-            validate_that(
-                "ServingConfig",
-                quota <= self.global_queue_cap,
-                f"tenant_quotas[{tenant}] cannot exceed global_queue_cap",
-            )
-        validate_that(
-            "ServingConfig",
-            self.tenant_queue_cap <= self.global_queue_cap,
-            "tenant_queue_cap cannot exceed global_queue_cap",
-        )
-
-    def quota_for(self, tenant: str) -> int:
-        return self.tenant_quotas.get(tenant, self.tenant_queue_cap)
-
-    def weight_for(self, qos: str) -> int:
-        return self.qos_weights[qos]
-
-    def blocks(self, qos: str) -> bool:
-        return qos in self.block_tiers

@@ -1,113 +1,53 @@
-"""The fair-share request scheduler: admission + dispatch for serving.
+"""Request accounting for the serving layer: attribute, run, count.
 
-One scheduler per appliance multiplexes every session's requests over
-the engine.  Staging reuses the ingest layer's
-:class:`~repro.ingest.queue.BackpressureQueue` block/shed machinery —
-one bounded queue per tenant×QoS *lane* — and dispatch runs stride
-scheduling over the lanes, so service under contention is proportional
-to QoS weight and a lane with pending work is never starved (its pass
-value stays put while every dispatched lane's advances, so it becomes
-the minimum after finitely many picks).
-
-Admission is where multi-tenancy bites:
-
-* **per-tenant quota** — a tenant's staged requests (across its lanes)
-  are capped; at the cap a higher-tier arrival displaces the tenant's
-  own strictly-lower-tier work, otherwise the arrival stalls (block
-  tiers) or sheds.
-* **global cap** — when the appliance-wide staging cap is hit, admission
-  becomes QoS-aware: an arriving request of a *higher* tier evicts the
-  youngest staged request of the lowest backlogged tier (batch loses its
-  slot to interactive, never the reverse).
+Every session call and every standing-query notification reaches the
+engine through :meth:`RequestScheduler.execute_inline`, which runs the
+request synchronously and attributes its outcome to the tenant and QoS
+tier that issued it.  There is no queue: a request runs the moment it
+arrives, so there is never a backlog to bound, reorder or shed
+(docs/SERVING.md says why, and what interleaving would need first).
 
 Every outcome is attributed: per-tenant counters
-(``serving.tenant.<t>.admitted/stalled/shed``), per-tier latency
-histograms, and the roll-up :meth:`RequestScheduler.stats` that
-``Impliance.stats()["serving"]`` exposes — no shed or stall is silently
-dropped.
+(``serving.tenant.<t>.admitted/completed``), per-tier latency
+histograms, failures by exception class, and the roll-up
+:meth:`RequestScheduler.stats` that ``Impliance.stats()["serving"]``
+exposes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
-
-from repro.ingest.queue import ADMITTED, SHED, STALLED, BackpressureQueue
-from repro.serving.config import QOS_TIERS, ServingConfig, tier_priority
-
-#: Stride numerator: pass advances by STRIDE_SCALE / weight per dispatch.
-STRIDE_SCALE = 10_000.0
+from typing import Any, Callable, Dict, Optional
 
 
 @dataclass
 class Request:
-    """One unit of admitted work: a tenant-attributed, QoS-tagged thunk."""
+    """One unit of work: a tenant-attributed, QoS-tagged thunk."""
 
     tenant: str
     qos: str
-    kind: str                                    # search | sql | faceted | ...
-    fn: Optional[Callable[[], Any]] = None       # the engine work to run
-    cost_ms: float = 1.0                         # virtual service demand
-    arrival_ms: float = 0.0                      # virtual arrival time
-    session_id: Optional[int] = None             # driver bookkeeping
-    seq: int = 0                                 # admission order tiebreak
-    outcome: str = ""                            # admitted/stalled/shed
-    start_ms: float = 0.0
-    finish_ms: float = 0.0
-    result: Any = None
-
-    @property
-    def latency_ms(self) -> float:
-        return self.finish_ms - self.arrival_ms
-
-
-@dataclass
-class _Lane:
-    """One tenant×QoS scheduling entity."""
-
-    tenant: str
-    qos: str
-    weight: int
-    queue: BackpressureQueue
-    pass_value: float = 0.0
-    dispatched: int = 0
-
-    @property
-    def stride(self) -> float:
-        return STRIDE_SCALE / self.weight
+    kind: str                                    # search | sql | notify | ...
+    fn: Callable[[], Any]                        # the engine work to run
 
 
 @dataclass
 class _TenantCounters:
     admitted: int = 0
-    stalled: int = 0
-    shed: int = 0
     completed: int = 0
     failed: int = 0
     latency_sum_ms: float = 0.0
     by_qos: Dict[str, int] = field(default_factory=dict)
+    failed_by_class: Dict[str, int] = field(default_factory=dict)
 
 
 class RequestScheduler:
-    """Per-tenant fair-share admission control over the engine."""
+    """Per-tenant, per-tier accounting around the engine."""
 
-    def __init__(self, config: ServingConfig, telemetry=None) -> None:
-        self.config = config
+    def __init__(self, telemetry=None) -> None:
         self.telemetry = telemetry
-        self._lanes: Dict[Tuple[str, str], _Lane] = {}
         self._tenants: Dict[str, _TenantCounters] = {}
-        self._seq = 0
-        self._global_pass = 0.0  # new lanes start here: no catch-up monopoly
-        self.submitted = 0
-        self.evicted = 0
-        #: Hook fired with each request shed by QoS-aware eviction — the
-        #: workload driver uses it to resume the victim's closed loop.
-        self.on_evict: Optional[Callable[[Request], None]] = None
 
-    # ------------------------------------------------------------------
-    # lanes and accounting
-    # ------------------------------------------------------------------
     def _counters(self, tenant: str) -> _TenantCounters:
         counters = self._tenants.get(tenant)
         if counters is None:
@@ -115,243 +55,64 @@ class RequestScheduler:
             self._tenants[tenant] = counters
         return counters
 
-    def lane(self, tenant: str, qos: str) -> _Lane:
-        key = (tenant, qos)
-        existing = self._lanes.get(key)
-        if existing is not None:
-            return existing
-        counters = self._counters(tenant)
-
-        def on_outcome(outcome: str, _c=counters, _q=qos, _t=tenant) -> None:
-            # The bugfix this layer exists for: every queue outcome lands
-            # in per-tenant counters surfaced by Impliance.stats()
-            # (stall/shed telemetry counters come from the queue itself
-            # via its serving.tenant.<t> metric prefix).
-            if outcome == ADMITTED:
-                _c.admitted += 1
-                _c.by_qos[_q] = _c.by_qos.get(_q, 0) + 1
-                if self.telemetry is not None:
-                    self.telemetry.inc(f"serving.tenant.{_t}.admitted")
-            elif outcome == STALLED:
-                _c.stalled += 1
-            elif outcome == SHED:
-                _c.shed += 1
-
-        lane = _Lane(
-            tenant=tenant,
-            qos=qos,
-            weight=self.config.weight_for(qos),
-            queue=BackpressureQueue(
-                telemetry=self.telemetry,
-                capacity=self.config.quota_for(tenant),
-                shed_on_full=not self.config.blocks(qos),
-                metric_prefix=f"serving.tenant.{tenant}",
-                on_outcome=on_outcome,
-            ),
-            pass_value=self._global_pass,
-        )
-        self._lanes[key] = lane
-        return lane
-
-    def tenant_depth(self, tenant: str) -> int:
-        return sum(
-            lane.queue.depth
-            for (t, _), lane in self._lanes.items()
-            if t == tenant
-        )
-
-    @property
-    def total_queued(self) -> int:
-        return sum(lane.queue.depth for lane in self._lanes.values())
-
-    # ------------------------------------------------------------------
-    # admission
-    # ------------------------------------------------------------------
-    def submit(self, request: Request) -> str:
-        """Admit *request* into its tenant lane; returns the outcome.
-
-        Enforces, in order: the per-tenant quota (the lane queue's own
-        capacity covers it, since lanes share the tenant's cap), then the
-        global cap with QoS-aware eviction, then lane admission.
-        """
-        self.submitted += 1
-        self._seq += 1
-        request.seq = self._seq
-        lane = self.lane(request.tenant, request.qos)
-        can_shed = not self.config.blocks(request.qos)
-
-        # Per-tenant quota spans the tenant's lanes, not just this one.
-        # The quota is QoS-aware like the global cap: a higher-tier
-        # arrival displaces the same tenant's strictly-lower-tier work
-        # rather than queueing behind it.
-        if self.tenant_depth(request.tenant) >= self.config.quota_for(request.tenant):
-            victim = self._evict_lower_priority(
-                than=request.qos, tenant=request.tenant
-            )
-            if victim is None:
-                return self._reject(lane, request, can_shed)
-
-        if self.total_queued >= self.config.global_queue_cap:
-            victim = self._evict_lower_priority(than=request.qos)
-            if victim is None:
-                # Nothing lower-priority to displace: the arrival itself
-                # stalls or sheds by its tier's policy.
-                return self._reject(lane, request, can_shed)
-
-        outcome = lane.queue.admit(request, can_shed=can_shed)
-        request.outcome = outcome
-        return outcome
-
-    def _reject(self, lane: _Lane, request: Request, can_shed: bool) -> str:
-        """Route a rejection through the lane queue's bookkeeping by
-        offering against a full queue — counters, telemetry, and the
-        on_outcome hook all fire exactly as for any other rejection."""
-        full_queue = lane.queue
-        saved, full_queue.capacity = full_queue.capacity, 0
-        try:
-            outcome = full_queue.admit(request, can_shed=can_shed)
-        finally:
-            full_queue.capacity = saved
-        request.outcome = outcome
-        return outcome
-
-    def _evict_lower_priority(
-        self, than: str, tenant: Optional[str] = None
-    ) -> Optional[Request]:
-        """Shed the youngest staged request of the lowest backlogged tier
-        strictly below *than* — across every tenant by default, or within
-        *tenant*'s lanes only (the quota-bound case); None when no such
-        tier has backlog."""
-        arriving = tier_priority(than)
-        for qos in reversed(QOS_TIERS):  # lowest priority first
-            if tier_priority(qos) <= arriving:
-                break
-            candidates = [
-                lane
-                for (t, lane_qos), lane in self._lanes.items()
-                if lane_qos == qos
-                and lane.queue.depth
-                and (tenant is None or t == tenant)
-            ]
-            if not candidates:
-                continue
-            # Shed from the most backlogged tenant of that tier.
-            lane = max(candidates, key=lambda l: (l.queue.depth, l.tenant))
-            victim = lane.queue.evict_newest()
-            if victim is not None:
-                victim.outcome = SHED
-                self.evicted += 1
-                if self.on_evict is not None:
-                    self.on_evict(victim)
-                return victim
-        return None
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def next_request(self) -> Optional[Request]:
-        """Pop the next request by weighted fair share (stride pick)."""
-        backlogged = [lane for lane in self._lanes.values() if lane.queue.depth]
-        if not backlogged:
-            return None
-        lane = min(backlogged, key=lambda l: (l.pass_value, l.tenant, l.qos))
-        lane.pass_value += lane.stride
-        self._global_pass = max(self._global_pass, lane.pass_value - lane.stride)
-        lane.dispatched += 1
-        return lane.queue.take_batch(1)[0]
-
-    # ------------------------------------------------------------------
-    # completion + inline execution
-    # ------------------------------------------------------------------
-    def on_complete(self, request: Request, latency_ms: float, ok: bool = True) -> None:
+    def on_complete(
+        self, request: Request, latency_ms: float, error: Optional[BaseException] = None
+    ) -> None:
         counters = self._counters(request.tenant)
-        if ok:
+        if error is None:
             counters.completed += 1
             counters.latency_sum_ms += latency_ms
         else:
             counters.failed += 1
+            name = type(error).__name__
+            counters.failed_by_class[name] = counters.failed_by_class.get(name, 0) + 1
         if self.telemetry is not None:
             self.telemetry.inc(f"serving.tenant.{request.tenant}.completed")
             self.telemetry.observe(f"serving.{request.qos}.latency_ms", latency_ms)
             self.telemetry.observe("serving.latency_ms", latency_ms)
 
     def execute_inline(self, request: Request) -> Any:
-        """The synchronous Session path: admit, run, account.
-
-        With an idle scheduler the request is admitted and runs at once;
-        when driver traffic has the queues saturated, a block-tier
-        arrival waits its stall out (counted) and still runs, while a
-        shed-tier arrival raises :class:`RequestShed`.
-        """
-        outcome = self.submit(request)
-        if outcome == SHED:
-            raise RequestShed(
-                f"tenant {request.tenant!r} {request.qos} request shed "
-                f"(quota or global cap exceeded)"
-            )
-        if outcome == ADMITTED:
-            # Inline mode services the request immediately; withdraw it
-            # from the lane (it is the newest staged item — admission and
-            # execution are one synchronous step) so driver dispatch
-            # never double-runs it.
-            lane = self.lane(request.tenant, request.qos)
-            withdrawn = lane.queue.withdraw_newest()
-            assert withdrawn is request
+        """Count *request* as admitted, run it, and account the outcome.
+        A failure is counted by exception class and re-raised."""
+        counters = self._counters(request.tenant)
+        counters.admitted += 1
+        counters.by_qos[request.qos] = counters.by_qos.get(request.qos, 0) + 1
+        if self.telemetry is not None:
+            self.telemetry.inc(f"serving.tenant.{request.tenant}.admitted")
         start = time.perf_counter()
         try:
-            request.result = request.fn() if request.fn is not None else None
-        except Exception:
-            self.on_complete(request, (time.perf_counter() - start) * 1000.0, ok=False)
+            result = request.fn()
+        except Exception as exc:
+            self.on_complete(request, (time.perf_counter() - start) * 1000.0, exc)
             raise
         self.on_complete(request, (time.perf_counter() - start) * 1000.0)
-        return request.result
+        return result
 
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """The ``Impliance.stats()["serving"]`` payload: global and
-        per-tenant admission outcomes, completions, and queue depths."""
+        per-tenant admissions, completions and failures by class."""
         tenants: Dict[str, Any] = {}
-        totals = {"admitted": 0, "stalled": 0, "shed": 0, "completed": 0, "failed": 0}
+        totals = {"admitted": 0, "completed": 0, "failed": 0}
+        failed_by_class: Dict[str, int] = {}
         for tenant, c in sorted(self._tenants.items()):
-            completed = c.completed
             tenants[tenant] = {
                 "admitted": c.admitted,
-                "stalled": c.stalled,
-                "shed": c.shed,
-                "completed": completed,
+                "completed": c.completed,
                 "failed": c.failed,
-                "queued": self.tenant_depth(tenant),
+                "failed_by_class": dict(sorted(c.failed_by_class.items())),
                 "by_qos": dict(sorted(c.by_qos.items())),
                 "mean_latency_ms": (
-                    c.latency_sum_ms / completed if completed else 0.0
+                    c.latency_sum_ms / c.completed if c.completed else 0.0
                 ),
             }
             totals["admitted"] += c.admitted
-            totals["stalled"] += c.stalled
-            totals["shed"] += c.shed
-            totals["completed"] += completed
+            totals["completed"] += c.completed
             totals["failed"] += c.failed
-        lanes = {
-            f"{tenant}/{qos}": {
-                "depth": lane.queue.depth,
-                "dispatched": lane.dispatched,
-                "weight": lane.weight,
-            }
-            for (tenant, qos), lane in sorted(self._lanes.items())
-        }
+            for name, n in c.failed_by_class.items():
+                failed_by_class[name] = failed_by_class.get(name, 0) + n
         return {
-            "submitted": self.submitted,
-            "evicted": self.evicted,
-            "queued": self.total_queued,
             **totals,
+            "shed": 0,  # nothing is ever shed; benchmarks/e2e reads the key
+            "failed_by_class": dict(sorted(failed_by_class.items())),
             "tenants": tenants,
-            "lanes": lanes,
         }
-
-
-class RequestShed(RuntimeError):
-    """Raised when an inline (synchronous) request is refused admission
-    under a shed-tier policy — the multi-tenant analogue of the ingest
-    stream's shed accounting, surfaced instead of silently dropped."""

@@ -3,8 +3,8 @@
 ``Impliance.connect(principal=..., qos=...)`` returns a :class:`Session`
 — the unit of multi-tenancy.  Every call on a session becomes a
 :class:`~repro.serving.scheduler.Request` attributed to the session's
-tenant and QoS tier, passes the scheduler's admission control (quotas,
-global cap, fair share), and — when the session carries an
+tenant and QoS tier, runs through the scheduler (which counts it), and
+— when the session carries an
 :class:`~repro.security.policy.AccessPolicy` — is enforced on the hot
 path through the same repository-boundary scoping
 :class:`~repro.security.enforcement.SecureSession` pioneered.
@@ -19,7 +19,7 @@ accounting added around them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.model.document import Document
 from repro.query.faceted import FacetedSession
@@ -29,30 +29,12 @@ from repro.query.result import QueryResult
 from repro.security.policy import AccessDenied, Action, Principal, SYSTEM_ROLE
 from repro.serving.scheduler import Request
 
-#: Virtual service demand per request kind (ms) — what the workload
-#: driver charges when it replays a session's traffic in virtual time.
-DEFAULT_COSTS: Mapping[str, float] = {
-    "search": 1.0,
-    "sql": 3.0,
-    "faceted": 2.0,
-    "graph": 1.5,
-    "connections": 2.0,
-    "find": 2.0,
-    "ingest": 0.5,
-    "ingest_many": 4.0,
-    "ingest_stream": 4.0,
-    "update": 1.0,
-    "delete": 0.5,
-    "subscribe": 2.0,
-    "notify": 0.5,
-}
-
 
 class Session:
     """One tenant's handle on the appliance.
 
-    Sessions are cheap (no per-session threads or caches — the scheduler
-    multiplexes thousands of them) and are context managers::
+    Sessions are cheap (no per-session threads, caches or queues) and
+    are context managers::
 
         with app.connect(principal=alice, qos="interactive") as s:
             s.search("widget")
@@ -108,30 +90,19 @@ class Session:
         self._subscriptions = []
         self.closed = True
 
-    def request(self, kind: str, fn=None, cost_ms: Optional[float] = None) -> Request:
-        """Build (but do not submit) the Request a *kind* call issues —
-        the workload driver uses this to stage session traffic for
-        virtual-time dispatch instead of running it inline."""
-        return Request(
-            tenant=self.tenant,
-            qos=self.qos,
-            kind=kind,
-            fn=fn,
-            cost_ms=cost_ms if cost_ms is not None else DEFAULT_COSTS.get(kind, 1.0),
-            session_id=self.session_id,
-        )
-
     def _run(self, kind: str, fn) -> Any:
         if self.closed:
             raise RuntimeError(f"session {self.session_id} is closed")
-        return self._app.serving.execute_inline(self.request(kind, fn))
+        return self._app.serving.execute_inline(
+            Request(tenant=self.tenant, qos=self.qos, kind=kind, fn=fn)
+        )
 
     # ------------------------------------------------------------------
     # query interfaces — the moved Impliance bodies (byte-identical on
-    # the default session), tenant-scheduled and policy-scoped.
+    # the default session), tenant-attributed and policy-scoped.
     # ------------------------------------------------------------------
     def search(self, query: str, top_k: int = 10) -> QueryResult:
-        """Keyword search (Section 3.2.1), admitted under this tenant."""
+        """Keyword search (Section 3.2.1), attributed to this tenant."""
         return self._run("search", lambda: self._search_impl(query, top_k))
 
     def _search_impl(self, query: str, top_k: int) -> QueryResult:
@@ -332,8 +303,7 @@ class Session:
         Returns a :class:`~repro.query.continuous.Subscription` whose
         result deltas are pushed once per invalidation epoch as ingest
         batches commit; notifications run through the scheduler as this
-        tenant's ``discovery``-tier work, so standing queries never
-        starve interactive traffic.  Poll with ``subscription.poll()``
+        tenant's ``discovery``-tier work.  Poll with ``subscription.poll()``
         or pass ``on_delta``.  Closed automatically with the session.
         """
         subscription = self._run(
@@ -363,8 +333,8 @@ class Session:
         """This tenant's slice of the serving stats."""
         return self._app.serving.stats()["tenants"].get(
             self.tenant,
-            {"admitted": 0, "stalled": 0, "shed": 0, "completed": 0, "failed": 0,
-             "queued": 0, "by_qos": {}, "mean_latency_ms": 0.0},
+            {"admitted": 0, "completed": 0, "failed": 0, "failed_by_class": {},
+             "by_qos": {}, "mean_latency_ms": 0.0},
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety

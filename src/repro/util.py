@@ -72,8 +72,9 @@ def stable_hash(text: str, buckets: int) -> int:
 
 # ----------------------------------------------------------------------
 # config validation — the one helper every ApplianceConfig sub-config
-# (CacheConfig, IngestConfig, ServingConfig) validates through, so bad
-# values are rejected the same way with the same message shape.
+# (CacheConfig, IngestConfig, RecoveryConfig) and Impliance.connect's
+# tier check validate through, so bad values are rejected the same way
+# with the same message shape.
 # ----------------------------------------------------------------------
 def validate_positive(config: str, **fields: float) -> None:
     """Reject any field below 1: ``validate_positive("IngestConfig",

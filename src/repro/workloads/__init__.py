@@ -4,13 +4,7 @@ Seeded, deterministic generators for the three Section 2.1 use cases
 (call center CRM, insurance claims, legal discovery) plus a generic
 relational workload for parameter sweeps.  Each generator retains its
 ground truth so experiments can score recall, not just throughput.
-
-:func:`make_corpus` / :func:`corpus_queries` form the registry the
-serving-layer workload driver replays: one seeded generator per corpus
-name plus the search/SQL templates a tenant of that corpus issues.
 """
-
-from typing import Any, Dict, List
 
 from repro.workloads.relational import RelationalWorkload, REGIONS, SEGMENTS
 from repro.workloads.callcenter import (
@@ -26,89 +20,7 @@ from repro.workloads.insurance import (
 from repro.workloads.legal import LegalWorkload
 from repro.workloads.sensors import LOCATIONS, SensorWorkload
 
-def make_corpus(name: str, seed: int = 0, scale: float = 1.0):
-    """One seeded workload generator per corpus name, sized by *scale*
-    (1.0 is the serving driver's default footprint — small enough that a
-    thousand sessions' queries stay fast, large enough to rank)."""
-    def sized(base: int, floor: int = 5) -> int:
-        return max(floor, int(base * scale))
-
-    if name == "callcenter":
-        return CallCenterWorkload(
-            n_customers=sized(20), n_transcripts=sized(40), seed=seed + 11
-        )
-    if name == "legal":
-        return LegalWorkload(
-            n_companies=sized(8), n_contracts=sized(10), n_emails=sized(30),
-            seed=seed + 31,
-        )
-    if name == "insurance":
-        return InsuranceWorkload(
-            n_patients=sized(15), n_providers=sized(6), n_claims=sized(40),
-            seed=seed + 23,
-        )
-    if name == "sensors":
-        return SensorWorkload(
-            n_tags=sized(20), n_readers=sized(6), n_events=sized(150),
-            seed=seed + 41,
-        )
-    if name == "relational":
-        return RelationalWorkload(
-            n_customers=sized(20), n_orders=sized(100), seed=seed + 7
-        )
-    raise ValueError(f"unknown corpus {name!r}")
-
-
-def corpus_queries(name: str) -> Dict[str, List[Any]]:
-    """The request templates a tenant of *name* draws from: keyword
-    search terms that hit the corpus and SQL over its auto-views."""
-    if name == "callcenter":
-        return {
-            "searches": [p.lower() for p in PRODUCTS[:4]]
-            + ["refund", "excellent", "crashing"],
-            "sqls": [
-                "SELECT count(*) AS n FROM customers",
-                "SELECT * FROM products",
-            ],
-        }
-    if name == "legal":
-        return {
-            "searches": ["contract", "partnership", "agreement", "acme"],
-            "sqls": [
-                "SELECT count(*) AS n FROM contracts",
-                "SELECT * FROM companies",
-            ],
-        }
-    if name == "insurance":
-        return {
-            "searches": [p for p in PROCEDURES[:4]] + ["claim"],
-            "sqls": [
-                "SELECT count(*) AS n FROM claims",
-                "SELECT * FROM providers",
-            ],
-        }
-    if name == "sensors":
-        return {
-            "searches": [loc for loc in LOCATIONS],
-            "sqls": [
-                "SELECT count(*) AS n FROM rfid_events",
-                "SELECT location, count(*) AS n FROM rfid_events GROUP BY location",
-            ],
-        }
-    if name == "relational":
-        return {
-            "searches": [r.lower() for r in REGIONS],
-            "sqls": [
-                "SELECT count(*) AS n FROM orders",
-                "SELECT region, count(*) AS n FROM orders GROUP BY region",
-            ],
-        }
-    raise ValueError(f"unknown corpus {name!r}")
-
-
 __all__ = [
-    "make_corpus",
-    "corpus_queries",
     "RelationalWorkload",
     "REGIONS",
     "SEGMENTS",

@@ -17,7 +17,6 @@ from repro.query.engine import LocalRepository, QueryEngine
 from repro.query.ivm import NonMaintainable, ViewMaintainer, analyze
 from repro.query.materialized import MaterializationManager
 from repro.query.sql import parse_sql
-from repro.serving.scheduler import RequestShed
 from repro.storage.store import DocumentStore
 
 pytestmark = pytest.mark.ivm
@@ -468,20 +467,21 @@ class TestSubscriptions:
         app.delete_document("inc-1")
         assert deltas[-1].removed == ("inc-1",)
 
-    def test_shed_notification_coalesces_into_next_epoch(self):
+    def test_failed_notification_coalesces_into_next_epoch(self):
         app = self.make_app()
         deltas = []
         sub = app.subscriptions.subscribe(SQL, on_delta=deltas.append)
         original = app.serving.execute_inline
 
-        def shedding(request):
+        def failing(request):
             if request.kind == "notify":
-                raise RequestShed("overload")
+                raise RuntimeError("delivery failed")
             return original(request)
 
-        app.serving.execute_inline = shedding
+        app.serving.execute_inline = failing
         app.ingest_many([{"oid": 70, "region": "east", "amount": 10.0}], table="orders")
-        assert sub.stats.shed == 1 and len(deltas) == 1  # nothing delivered
+        assert len(deltas) == 1  # nothing delivered
+        assert app.telemetry.value("sub.notify.error") == 1
         app.serving.execute_inline = original
         app.ingest_many([{"oid": 71, "region": "west", "amount": 20.0}], table="orders")
         # the delivered delta covers BOTH epochs relative to the last
@@ -489,6 +489,23 @@ class TestSubscriptions:
         assert len(deltas) == 2
         changed = {r["region"]: r["total"] for r in deltas[1].added}
         assert changed == {"east": 16.0 + 10.0, "west": 12.0 + 20.0}
+        assert sub.stats.notifications == 2
+
+    def test_notification_errors_are_counted_by_exception_class(self):
+        app = self.make_app()
+        app.subscriptions.subscribe(SQL)
+        original = app.serving.execute_inline
+
+        def failing(request):
+            if request.kind == "notify":
+                raise KeyError("missing")
+            return original(request)
+
+        app.serving.execute_inline = failing
+        app.ingest_many([{"oid": 72, "region": "east", "amount": 1.0}], table="orders")
+        app.ingest_many([{"oid": 73, "region": "west", "amount": 1.0}], table="orders")
+        assert app.telemetry.value("sub.notify.error") == 2
+        assert app.telemetry.value("sub.notify.error.KeyError") == 2
 
     def test_broken_subscription_never_fails_the_write(self):
         app = self.make_app()

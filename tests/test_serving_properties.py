@@ -1,158 +1,19 @@
-"""Serving-layer invariants, property-tested.
+"""Serving-layer invariant, property-tested.
 
-Three guarantees the scheduler and session API advertise:
-
-1. **No starvation** — stride dispatch over tenant×QoS lanes serves every
-   backlogged lane within a bounded window, whatever the weights.
-2. **Shed order respects QoS** — under global-cap pressure an arrival
-   only ever displaces *strictly lower* tiers, and is itself refused only
-   when nothing strictly lower is queued.
-3. **Byte identity** — for any interleaved schedule of queries (and chaos
-   fail/recover events applied identically to both sides), the session
-   API returns exactly what the legacy bare entry points return.
+**Byte identity** — for any interleaved schedule of queries (and chaos
+fail/recover events applied identically to both sides), the session API
+returns exactly what the legacy bare entry points return.
 """
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import ApplianceConfig, Impliance, Principal, ServingConfig
-from repro.ingest.queue import ADMITTED
-from repro.serving.config import QOS_TIERS, tier_priority
-from repro.serving.scheduler import Request, RequestScheduler
-
-lane_specs = st.lists(
-    st.tuples(
-        st.sampled_from(("acme", "globex", "initech", "umbrella")),
-        st.sampled_from(QOS_TIERS),
-    ),
-    min_size=1,
-    max_size=8,
-    unique=True,
-)
-
-weight_maps = st.fixed_dictionaries(
-    {tier: st.integers(min_value=1, max_value=16) for tier in QOS_TIERS}
-)
-
-
-def _req(tenant: str, qos: str) -> Request:
-    return Request(tenant=tenant, qos=qos, kind="search")
-
+from repro import ApplianceConfig, Impliance, Principal
 
 # ----------------------------------------------------------------------
-# 1. fair share never starves a backlogged lane
-# ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(lanes=lane_specs, weights=weight_maps)
-def test_fair_share_never_starves(lanes, weights):
-    config = ServingConfig(
-        global_queue_cap=4096, tenant_queue_cap=1024, qos_weights=weights
-    )
-    sched = RequestScheduler(config)
-    # One stride period serves every lane at least once; give each lane
-    # enough backlog to stay pending across two periods plus slack.
-    total_weight = sum(weights[qos] for _, qos in lanes)
-    window = 2 * math.ceil(total_weight / min(weights.values())) + len(lanes)
-    for tenant, qos in lanes:
-        for _ in range(window):
-            assert sched.submit(_req(tenant, qos)) == ADMITTED
-
-    served = {key: 0 for key in lanes}
-    for _ in range(window):
-        request = sched.next_request()
-        served[(request.tenant, request.qos)] += 1
-    # Every lane with pending work was dispatched within the window.
-    assert all(count >= 1 for count in served.values()), served
-
-
-@settings(max_examples=40, deadline=None)
-@given(weights=weight_maps, rounds=st.integers(min_value=10, max_value=200))
-def test_fair_share_tracks_weights_proportionally(weights, rounds):
-    """With two permanently-backlogged lanes, dispatch counts match the
-    weight ratio to within one stride period."""
-    config = ServingConfig(
-        global_queue_cap=4096, tenant_queue_cap=2048, qos_weights=weights
-    )
-    sched = RequestScheduler(config)
-    for _ in range(2 * rounds):
-        sched.submit(_req("a", "interactive"))
-        sched.submit(_req("b", "discovery"))
-    picks = {"a": 0, "b": 0}
-    for _ in range(rounds):
-        picks[sched.next_request().tenant] += 1
-    w_a, w_b = weights["interactive"], weights["discovery"]
-    expected_a = rounds * w_a / (w_a + w_b)
-    # Stride error bound: within one pick per lane of the ideal share.
-    assert abs(picks["a"] - expected_a) <= 2
-
-
-# ----------------------------------------------------------------------
-# 2. shed order respects QoS tier
-# ----------------------------------------------------------------------
-arrival_seqs = st.lists(
-    st.tuples(
-        st.sampled_from(("acme", "globex", "initech")),
-        st.sampled_from(QOS_TIERS),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(arrivals=arrival_seqs, cap=st.integers(min_value=1, max_value=8))
-def test_shed_order_respects_qos(arrivals, cap):
-    """Under quota or global-cap pressure: evictions only ever hit
-    strictly lower tiers, and an arrival is refused only when nothing
-    strictly lower is staged within the binding scope (the tenant's own
-    lanes when its quota binds; anywhere when the global cap binds)."""
-    config = ServingConfig(global_queue_cap=cap, tenant_queue_cap=cap)
-    sched = RequestScheduler(config)
-    evictions = []
-    sched.on_evict = evictions.append
-
-    for tenant, qos in arrivals:
-        tenant_before = [
-            lane.qos
-            for (t, _), lane in sched._lanes.items()
-            if t == tenant
-            for _ in range(lane.queue.depth)
-        ]
-        global_before = [
-            lane.qos
-            for lane in sched._lanes.values()
-            for _ in range(lane.queue.depth)
-        ]
-        at_quota = len(tenant_before) >= config.quota_for(tenant)
-        at_cap = len(global_before) >= cap
-        before = len(evictions)
-        outcome = sched.submit(_req(tenant, qos))
-        for victim in evictions[before:]:
-            # An eviction's victim is always strictly lower priority.
-            assert tier_priority(victim.qos) > tier_priority(qos)
-        if at_quota and outcome != ADMITTED:
-            # Refused at the tenant quota: none of the tenant's own
-            # staged requests were strictly lower priority.
-            assert not any(
-                tier_priority(q) > tier_priority(qos) for q in tenant_before
-            )
-        elif at_cap and outcome != ADMITTED:
-            # Refused at the global cap: nothing strictly lower was
-            # staged anywhere on the appliance.
-            assert not any(
-                tier_priority(q) > tier_priority(qos) for q in global_before
-            )
-        # Neither the global cap nor the quota is ever exceeded.
-        assert sched.total_queued <= cap
-        assert sched.tenant_depth(tenant) <= config.quota_for(tenant)
-
-
-# ----------------------------------------------------------------------
-# 3. sessions are byte-identical to the legacy entry points
+# sessions are byte-identical to the legacy entry points
 # ----------------------------------------------------------------------
 ops = st.lists(
     st.sampled_from(("search", "sql", "faceted", "graph", "fail", "recover")),
