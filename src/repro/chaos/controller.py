@@ -38,7 +38,9 @@ class ChaosController:
         The seeded schedule to apply.
     appliance:
         When given, crashes route through ``Impliance.fail_node`` (which
-        re-homes version chains) and the appliance's storage managers
+        promotes the dead data node's standby log onto the survivors),
+        recoveries through ``Impliance.recover_node`` (which readmits it
+        with an empty store), and the appliance's storage managers
         handle repair; the appliance's executor also adopts the plan's
         seeded retry policy, so backoff jitter replays with the plan.
     storage_managers:

@@ -48,7 +48,7 @@ from repro.query.result import QueryResult
 from repro.security.policy import Principal
 from repro.serving import QOS_INTERACTIVE, QOS_TIERS, RequestScheduler, Session
 from repro.storage.compression import DictionaryCompressor
-from repro.storage.recovery import ContinuousReplicator, RecoveryError, RestoreReport
+from repro.storage.recovery import ContinuousReplicator, RestoreReport
 from repro.storage.replication import ReplicaManager
 from repro.storage.store import DocumentStore
 from repro.util import IdGenerator, validate_choice
@@ -154,10 +154,10 @@ class Impliance:
 
         # Continuous replication: every group commit published on the
         # bus is shipped to a per-data-node standby log on a cluster
-        # node, so a crashed node restores as snapshot + log replay
-        # (docs/RECOVERY.md).  Subscribed after the cache/view tiers:
-        # shipping is passive and must not observe half-invalidated
-        # state, and a replay never re-publishes.
+        # node, and a crashed node's standby is promoted onto the
+        # survivors as snapshot + log replay (docs/RECOVERY.md).
+        # Subscribed after the cache/view tiers: shipping is passive and
+        # must not observe half-invalidated state.
         self.recovery = ContinuousReplicator(
             self.cluster,
             config=self.config.recovery,
@@ -185,12 +185,9 @@ class Impliance:
                     ),
                     telemetry=storage_telemetry,
                     compressor=self.compressor,
-                    network=self.cluster.network,
                 )
             )
-            self.miner.attach(node.store.buffer_pool)
-            node.store.batch_put_listeners.append(self._on_any_put_batch)
-            self.caches.attach_to_store(node.store)
+            self._attach_store(node.store)
 
         self._ids: Dict[str, IdGenerator] = {}
         self._auto_views: Dict[str, Set[str]] = {}
@@ -227,8 +224,8 @@ class Impliance:
         """Every persisted document updates the global catalog and joins
         the discovery queue (annotations excluded there).
 
-        This is the *reactive* maintenance path — direct ``store.put``
-        calls (replication repair, chaos re-homing, annotation persistence)
+        This is the *reactive* maintenance path — direct store writes
+        (the failover promote's ``put_many``, annotation persistence)
         land here.  While the staged pipeline commits a batch it performs
         each stage itself, exactly once per batch, so the listener stands
         down.
@@ -245,6 +242,13 @@ class Impliance:
             self.discovery.enqueue(document)
             if document.metadata.get("table"):
                 self._maintain_auto_views((document,))
+
+    def _attach_store(self, store: DocumentStore) -> None:
+        """The appliance listeners on a data node's store: the piggyback
+        miner, the reactive catalog/discovery path, and the cache bus."""
+        self.miner.attach(store.buffer_pool)
+        store.batch_put_listeners.append(self._on_any_put_batch)
+        self.caches.attach_to_store(store)
 
     def _maintain_auto_views(self, documents: Sequence[Document]) -> None:
         """Auto-define/extend the identity views of tabular documents —
@@ -732,202 +736,95 @@ class Impliance:
         return engine.apply(self.cluster.nodes(), version)
 
     def fail_node(self, node_id: str) -> int:
-        """Inject a node failure; repair keeps the data available.
+        """Inject a node failure and fail over autonomically.
 
-        The replica managers re-plan placements, and the lost node's
-        version chains are re-homed onto surviving data nodes.  (In the
-        simulation the bytes are read from the dead node's store object,
-        standing in for the surviving replica copies the placement layer
-        tracked — the observable behaviour is identical: every document
-        remains queryable.)  Returns the number of chains re-homed.
+        For a data node, the storage managers first re-plan segment
+        placement without it.  Then its standby log is *promoted*
+        (:meth:`ContinuousReplicator.promote`): its snapshot and log, plus
+        any of its shipments still buffered, replay onto each chain's home
+        on the live hash ring, skipping chains a survivor already holds,
+        with the standby-to-survivor transfer and the replay CPU charged
+        to the survivors.  The dead node's store is never read.  Returns
+        the number of chains moved (none for a grid or cluster node).
         """
-        victim = self.cluster.node(node_id)
-        chains = []
-        if victim.store is not None:
-            chains = [
-                list(victim.store.history(doc_id))
-                for doc_id in victim.store.doc_ids()
-            ]
-        self.cluster.fail_node(node_id)
-        for manager in self._storage_managers:
-            try:
-                manager.on_node_failure(node_id)
-            except LookupError:
-                pass  # this manager's replica set never used that node
-        rehomed = 0
-        for chain in chains:
-            home = self.cluster.home_of(chain[0].doc_id)
-            assert home.store is not None
-            if not home.store.contains(chain[0].doc_id):
-                home.store.import_chain(chain)
-                rehomed += 1
-        # After re-homing, not before: results computed mid-repair must
-        # not survive the flush that announces the new topology.
-        self.caches.bus.publish_node_event(node_id, "crash")
-        return rehomed
-
-    def recover_node(self, node_id: str) -> int:
-        """Bring a failed node back; repairs drain onto it autonomically.
-
-        Returns the number of repair actions the storage managers took
-        now that the capacity is back.
-        """
-        node = self.cluster.recover_node(node_id)
-        node.restore_speed()
-        repairs = 0
+        node = self.cluster.fail_node(node_id)
+        moved = 0
         if node.kind is NodeKind.DATA:
             for manager in self._storage_managers:
-                try:
-                    repairs += len(manager.on_node_added(node_id))
-                except ValueError:
-                    # Manager already counts the node as live; just sweep
-                    # its outstanding deficits.
-                    repairs += len(manager.repair_outstanding())
+                manager.on_node_failure(node_id)
+            moved = self.recovery.promote(node_id)
+        # After the promote, not before: results computed mid-failover
+        # must not survive the flush that announces the new topology.
+        self.caches.bus.publish_node_event(node_id, "crash")
+        return moved
+
+    def recover_node(self, node_id: str) -> int:
+        """Bring a failed node back into service.
+
+        A dead data node is readmitted *empty*: its chains were promoted
+        onto the survivors when it failed, so it gets a fresh store and
+        node index, its storage manager and the appliance listeners
+        rebind to them, and its standby re-bases on the empty store
+        (:meth:`ContinuousReplicator.resync`).  New data routes to it from
+        then on, and the storage managers drain replica deficits onto the
+        returned capacity.  Returns the number of repair actions taken.
+        """
+        node = self.cluster.node(node_id)
+        readmit = node.kind is NodeKind.DATA and not node.alive
+        if readmit:
+            self._fresh_store(node)
+        self.cluster.recover_node(node_id)
+        node.restore_speed()
+        repairs = 0
+        if readmit:
+            for manager in self._storage_managers:
+                repairs += len(manager.on_node_added(node_id))
+            self.recovery.resync(node_id)
         self.caches.bus.publish_node_event(node_id, "recover")
         return repairs
 
-    def restore(self, node_id: str) -> RestoreReport:
-        """Point-in-time recovery of a failed data node from its standby
-        log: rebuild the store as ``snapshot + log[lsn..]`` replay,
-        catch the chains up from surviving replicas, prove digest
-        identity against them, and bring the node back into service.
+    def _fresh_store(self, node) -> None:
+        """Swap an empty store and node index into the dead data node
+        *node*, and rebind its storage manager and listeners to them.
 
-        The rebuilt :class:`DocumentStore` re-derives everything from
-        the replayed versions — chains, tombstones, page layout, the
-        columnar mirror — and a fresh node-local index populates during
-        replay.  Every chain is verified against a surviving replica's
-        version records (version, timestamp, content digest); any
-        divergence raises :class:`RecoveryError` *before* the node
-        serves a query.  Versions committed to the re-homed copies while
-        the node was down are appended during catch-up, so the restored
-        node returns current, not stale.
-
-        Simulated time is charged for the standby transfer and the
-        replay CPU; the returned :class:`RestoreReport` carries the
-        finish time so benchmarks can measure RTO against the crash
-        instant.  Raises LookupError when replication is disabled (there
-        is no standby to restore from), and ValueError for a live or
-        non-data node.  A node that never committed anything restores to
-        an empty store.
+        The fresh store re-allocates segment ids from zero, so the
+        manager gets a fresh replica placement over every data node, the
+        dead ones — *node* included — marked failed until they return.
         """
+        manager = next(m for m in self._storage_managers if m.store is node.store)
+        store = DocumentStore(
+            clock=self.cluster.clock, buffer_capacity=self.config.buffer_capacity
+        )
+        node.store = store
+        node.indexes = IndexManager(store)
+        data_nodes = self.cluster.nodes_of(NodeKind.DATA, alive_only=False)
+        replicas = ReplicaManager(
+            [n.node_id for n in data_nodes],
+            telemetry=self.telemetry if self.telemetry.enabled else None,
+            network=self.cluster.network,
+        )
+        for other in data_nodes:
+            if not other.alive:
+                replicas.on_node_failure(other.node_id)
+        manager.adopt_store(store, replicas)
+        self._attach_store(store)
+
+    def restore(self, node_id: str) -> RestoreReport:
+        """Readmit the failed data node *node_id*: exactly
+        :meth:`recover_node`, after checking that the node is a data
+        node (``ValueError`` otherwise) and is dead (``ValueError`` for a
+        live one).  Nothing is replayed here — the node's data was
+        promoted onto the survivors when it failed, and it comes back
+        with an empty store."""
         node = self.cluster.node(node_id)
         if node.kind is not NodeKind.DATA:
             raise ValueError(f"{node_id} is not a data node")
         if node.alive:
             raise ValueError(f"{node_id} is alive; restore targets a failed node")
-        started = self.cluster.makespan()
-        # Buffered shipments first: anything committed before the crash
-        # that a partition delayed must reach the standby before replay.
-        self.recovery.flush_pending()
-        standby = self.recovery.standby(node_id)
-        restore_bytes = standby.restore_bytes()
-
-        rebuilt = DocumentStore(
-            clock=self.cluster.clock, buffer_capacity=self.config.buffer_capacity
-        )
-        # The node-local index attaches before replay so it populates
-        # incrementally; global listeners (bus, catalog, caches) attach
-        # only after — a replay must not re-publish or re-ship.
-        local_indexes = IndexManager(rebuilt)
-        replayed, records, snapshot_lsn = self.recovery.replay_into(rebuilt, node_id)
-        caught_up, verified, unmatched = self._catch_up_from_survivors(rebuilt)
-
-        old_store = node.store
-        node.store = rebuilt
-        node.indexes = local_indexes
-        manager = next(
-            (m for m in self._storage_managers if m.store is old_store), None
-        )
-        storage_telemetry = self.telemetry if self.telemetry.enabled else None
-        replicas = ReplicaManager(
-            [n.node_id for n in self.cluster.nodes_of(NodeKind.DATA, alive_only=False)],
-            telemetry=storage_telemetry,
-            network=self.cluster.network,
-        )
-        for other in self.cluster.nodes_of(NodeKind.DATA, alive_only=False):
-            if not other.alive and other.node_id != node_id:
-                replicas.on_node_failure(other.node_id)
-        if manager is not None:
-            manager.adopt_store(rebuilt, replicas)
-        else:
-            manager = StorageManager(
-                rebuilt,
-                replicas,
-                telemetry=storage_telemetry,
-                compressor=self.compressor,
-                network=self.cluster.network,
-            )
-            self._storage_managers.append(manager)
-        self.miner.attach(rebuilt.buffer_pool)
-        rebuilt.batch_put_listeners.append(self._on_any_put_batch)
-        self.caches.attach_to_store(rebuilt)
-
-        transfer_ms = self.cluster.network.transfer(
-            restore_bytes, standby.standby_id, node_id
-        )
         repairs = self.recover_node(node_id)
-        from repro.cluster.topology import INGEST_CPU_MS_PER_KB
-
-        replay_cost_ms = INGEST_CPU_MS_PER_KB * restore_bytes / 1024.0
-        finish = node.run(replay_cost_ms, after=started + transfer_ms, label="restore")
-        manager.place_open_segments()
-        # The rebuilt store restarts its LSN counter: re-base the standby
-        # on a fresh snapshot so shipping resumes with aligned cursors.
-        self.recovery.resync(node_id)
         self.recovery.stats.restores += 1
         self.telemetry.inc("recovery.restores")
-        return RestoreReport(
-            node_id=node_id,
-            chains=rebuilt.doc_count,
-            versions_replayed=replayed,
-            versions_caught_up=caught_up,
-            records_replayed=records,
-            snapshot_lsn=snapshot_lsn,
-            verified_chains=verified,
-            unmatched_chains=unmatched,
-            repairs=repairs,
-            transfer_ms=transfer_ms,
-            started_ms=started,
-            finish_ms=finish,
-        )
-
-    def _catch_up_from_survivors(self, rebuilt: DocumentStore):
-        """Verify every replayed chain against a surviving replica and
-        append the versions committed while the node was down.
-
-        ``fail_node`` re-homes the victim's chains onto survivors, so
-        each rebuilt chain should be a *prefix* of some surviving chain
-        (equal when nothing changed during the outage).  Divergence —
-        same version number, different timestamp or content digest — is
-        unrecoverable corruption and raises :class:`RecoveryError`.
-        Returns ``(versions caught up, chains verified, chains with no
-        surviving copy)``.
-        """
-        caught_up = verified = unmatched = 0
-        for doc_id in rebuilt.doc_ids():
-            ours = rebuilt.history(doc_id).records()
-            surviving = None
-            for other in self.cluster.data_nodes:  # the victim is dead: excluded
-                if other.store is not None and other.store.contains(doc_id):
-                    surviving = other.store.history(doc_id)
-                    break
-            if surviving is None:
-                unmatched += 1
-                continue
-            theirs = surviving.records()
-            if theirs[: len(ours)] != ours:
-                raise RecoveryError(
-                    f"restored chain {doc_id!r} diverges from the surviving "
-                    f"replica (replayed {len(ours)} versions, replica holds "
-                    f"{len(theirs)})"
-                )
-            for document in list(surviving)[len(ours):]:
-                if document.ingest_ts > 0:
-                    rebuilt.clock.observe(document.ingest_ts)
-                rebuilt.put(document)
-                caught_up += 1
-            verified += 1
-        return caught_up, verified, unmatched
+        return RestoreReport(node_id=node_id, repairs=repairs)
 
     def missing_segments(self) -> int:
         """Storage segments with zero live replicas right now — the

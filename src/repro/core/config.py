@@ -46,8 +46,8 @@ class ApplianceConfig:
     #: Batched write path: group-commit batch size, staging-queue bound,
     #: and the admission policy when the queue is full (docs/INGEST.md).
     ingest: IngestConfig = field(default_factory=IngestConfig)
-    #: Continuous replication / point-in-time recovery: snapshot cadence
-    #: and the off switch (docs/RECOVERY.md).
+    #: Continuous replication and failover: the standby snapshot cadence
+    #: (docs/RECOVERY.md).
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     #: Mid-query re-optimization: divergence threshold, replan budget,
     #: and the off switch (docs/ADAPTIVE.md).

@@ -95,8 +95,9 @@ class DiscoveryEngine:
         if document.doc_id in self._queued:
             return
         if document.vid in self._processed:
-            # Already annotated this exact version — re-homed replicas
-            # after a node failure must not trigger duplicate discovery.
+            # Already annotated this exact version — chains promoted onto
+            # survivors after a node failure must not trigger duplicate
+            # discovery.
             return
         self._queue.append(document.doc_id)
         self._queued.add(document.doc_id)

@@ -56,7 +56,6 @@ from repro.storage.store import DocumentStore, StoreStats
 from repro.storage.recovery import (
     ContinuousReplicator,
     RecoveryConfig,
-    RecoveryError,
     ReplicatorStats,
     RestoreReport,
     Shipment,
@@ -110,7 +109,6 @@ __all__ = [
     "StoreStats",
     "ContinuousReplicator",
     "RecoveryConfig",
-    "RecoveryError",
     "ReplicatorStats",
     "RestoreReport",
     "Shipment",

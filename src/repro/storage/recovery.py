@@ -1,12 +1,14 @@
-"""Continuous replication and point-in-time recovery (Section 3.4).
+"""Continuous replication and failover (Section 3.4).
 
-The paper promises autonomic reliability: replicas placed by data class
-and re-replicated after failures "with no administrator involvement".
-The placement layer (:mod:`repro.storage.replication`) decides *where*
-copies belong; this module makes the promise physical — every group
-commit a data node takes is shipped, as one :class:`Shipment`, to a
-standby log hosted on a cluster node, so a crashed node can be rebuilt
-as ``snapshot + log[lsn..]`` replay instead of a full rescan.
+The paper promises autonomic reliability: data re-replicated after
+failures "with no administrator involvement".  This module is the one
+copy recovery reads — every group commit a data node takes is shipped,
+as one :class:`Shipment`, to a standby log hosted on a cluster node, and
+when the node dies its standby is *promoted*: ``snapshot + log[lsn..]``
+is replayed onto the survivors that take over its hash range
+(:meth:`ContinuousReplicator.promote`).  A node readmitted later starts
+from an empty store and re-bases its standby on it
+(:meth:`ContinuousReplicator.resync`).
 
 The shipping unit is the group commit: ``DocumentStore`` stamps a
 monotone ``commit_lsn`` per batch, the invalidation bus publishes the
@@ -20,8 +22,8 @@ later publication and at explicit ``flush_pending()`` calls.
 
 Recovery metrics follow the classic definitions (docs/RECOVERY.md):
 RPO is committed documents lost (must be zero for anything the standby
-acknowledged), RTO is simulated time from the crash until queries serve
-undegraded again.
+acknowledged), RTO is simulated time from the crash until the promoted
+chains serve from the survivors.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from repro.cluster.network import PartitionError
 from repro.model.document import Document
 from repro.util import stable_hash, validate_positive
 
-
-class RecoveryError(RuntimeError):
-    """A restore could not prove the rebuilt state matches the replicas."""
+#: Fixed framing cost charged per shipment on the wire.
+SHIPMENT_OVERHEAD_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -47,20 +48,12 @@ class RecoveryConfig:
         Group commits between standby snapshots per data node.  A
         snapshot replaces the prefix of the standby log at or below its
         LSN, bounding replay work to ``snapshot + log[lsn..]``.
-    shipment_overhead_bytes:
-        Fixed framing cost charged per shipment on the wire.
     """
 
-    enabled: bool = True
     snapshot_every: int = 32
-    shipment_overhead_bytes: int = 64
 
     def __post_init__(self) -> None:
-        validate_positive(
-            "RecoveryConfig",
-            snapshot_every=self.snapshot_every,
-            shipment_overhead_bytes=self.shipment_overhead_bytes,
-        )
+        validate_positive("RecoveryConfig", snapshot_every=self.snapshot_every)
 
 
 @dataclass(frozen=True)
@@ -119,12 +112,6 @@ class StandbyLog:
         for record in self.records:
             yield from record.documents
 
-    def restore_bytes(self) -> int:
-        """Bytes that cross the wire when this log restores its node."""
-        total = sum(d.size_bytes() for d in self.snapshot)
-        total += sum(r.size_bytes for r in self.records)
-        return total
-
 
 @dataclass
 class ReplicatorStats:
@@ -141,20 +128,12 @@ class ReplicatorStats:
 
 @dataclass(frozen=True)
 class RestoreReport:
-    """What one :meth:`Impliance.restore` rebuilt and proved."""
+    """What one :meth:`Impliance.restore` readmission did: the node came
+    back with an empty store, and the storage managers took ``repairs``
+    replica-repair actions onto the returned capacity."""
 
     node_id: str
-    chains: int
-    versions_replayed: int
-    versions_caught_up: int
-    records_replayed: int
-    snapshot_lsn: int
-    verified_chains: int
-    unmatched_chains: int
     repairs: int
-    transfer_ms: float
-    started_ms: float
-    finish_ms: float
 
 
 class ContinuousReplicator:
@@ -193,18 +172,8 @@ class ContinuousReplicator:
         bus.subscribe_deltas(self.on_change_set)
 
     def standby(self, node_id: str) -> StandbyLog:
-        """The node's standby log.  While the replicator is enabled a
-        node that never committed anything still gets one (empty) on
-        demand — it restores to an empty store rather than failing;
-        with replication disabled there is nothing to restore from."""
-        standby = self._standbys.get(node_id)
-        if standby is None and self.config.enabled:
-            return self._standby_for(node_id)
-        if standby is None:
-            raise LookupError(f"no standby log for {node_id!r}")
-        return standby
-
-    def _standby_for(self, node_id: str) -> StandbyLog:
+        """The node's standby log, created (empty) on first use — a node
+        that never committed anything promotes nothing."""
         standby = self._standbys.get(node_id)
         if standby is None:
             # Deterministic host assignment: hash the data node over the
@@ -229,8 +198,6 @@ class ContinuousReplicator:
     def on_change_set(self, changeset) -> None:
         """One publication arrived: split it per owning data node and
         ship each node's share as one commit record."""
-        if not self.config.enabled:
-            return
         # Earlier buffered shipments go first so per-node order holds.
         if self._pending:
             self.flush_pending()
@@ -239,7 +206,7 @@ class ContinuousReplicator:
         for change in changeset:
             owner = self._owner_of(change.document)
             if owner is None:
-                continue  # e.g. a store detached mid-restore
+                continue  # committed by a store no live data node owns
             groups.setdefault(owner.node_id, []).append(change.document)
             stores[owner.node_id] = owner.store
         for node_id in sorted(groups):
@@ -266,10 +233,7 @@ class ContinuousReplicator:
         return None
 
     def _payload_bytes(self, documents: Tuple[Document, ...]) -> int:
-        return (
-            sum(d.size_bytes() for d in documents)
-            + self.config.shipment_overhead_bytes
-        )
+        return sum(d.size_bytes() for d in documents) + SHIPMENT_OVERHEAD_BYTES
 
     def _ship(self, shipment: Shipment) -> bool:
         """Ship now unless earlier traffic for the node is still stuck
@@ -288,7 +252,7 @@ class ContinuousReplicator:
 
     def _transfer(self, shipment: Shipment) -> bool:
         """Move one shipment over the wire; True when it was applied."""
-        standby = self._standby_for(shipment.node_id)
+        standby = self.standby(shipment.node_id)
         network = self.cluster.network
         try:
             _, _, attempts = call_with_retries(
@@ -369,53 +333,89 @@ class ContinuousReplicator:
         return shipment
 
     # ------------------------------------------------------------------
-    # recovery
+    # failover and readmission
     # ------------------------------------------------------------------
-    def replay_into(self, store, node_id: str) -> Tuple[int, int, int]:
-        """Rebuild *node_id*'s state into a fresh *store*.
+    def promote(self, node_id: str) -> int:
+        """Fail the dead data node *node_id* over onto the survivors.
 
-        Returns ``(versions replayed, log records replayed,
-        snapshot lsn)``.  The caller attaches listeners only afterwards,
-        so replay puts do not republish or re-ship.
+        Buffered shipments are retried first, and whatever is still
+        buffered for the node is applied to its standby directly — the
+        standby then holds every group commit the node took.  Its replay
+        state (snapshot, then log records in LSN order) is grouped into
+        version chains, and each chain no live data node holds yet is
+        committed at its home on the live hash ring, one group commit per
+        survivor.  Each survivor is charged the standby-to-survivor
+        transfer and the replay CPU for its share; that commit ships to
+        the survivor's own standby like any other.  The dead node's store
+        is never read.  Returns the number of chains moved.
         """
+        from repro.cluster.topology import INGEST_CPU_MS_PER_KB
+
+        self.flush_pending()
         standby = self.standby(node_id)
-        replayed = 0
+        for shipment in [p for p in self._pending if p.node_id == node_id]:
+            standby.apply(shipment)
+        self._pending = [p for p in self._pending if p.node_id != node_id]
+        chains: Dict[str, List[Document]] = {}
         for document in standby.replay_documents():
-            if document.ingest_ts > 0:
-                store.clock.observe(document.ingest_ts)
-            store.put(document)
-            replayed += 1
+            chains.setdefault(document.doc_id, []).append(document)
+
+        survivors = self.cluster.data_nodes
+        shares: Dict[str, List[Document]] = {}
+        moved = 0
+        for doc_id, chain in chains.items():
+            if any(node.store.contains(doc_id) for node in survivors):
+                continue
+            shares.setdefault(self.cluster.home_of(doc_id).node_id, []).extend(chain)
+            moved += 1
+        started = self.cluster.makespan()
+        replayed = 0
+        for target_id in sorted(shares):
+            share = shares[target_id]
+            target = self.cluster.node(target_id)
+            nbytes = sum(document.size_bytes() for document in share)
+            transfer_ms = self.cluster.network.transfer(
+                nbytes, standby.standby_id, target_id
+            )
+            target.store.clock.observe(max(d.ingest_ts for d in share))
+            target.store.put_many(share)
+            target.run(
+                INGEST_CPU_MS_PER_KB * nbytes / 1024.0,
+                after=started + transfer_ms,
+                label="promote",
+            )
+            replayed += len(share)
+        # Handed over: the survivors' own standbys now carry the chains.
+        self._reset(node_id)
         self.stats.replays += 1
         self.stats.replayed_versions += replayed
         if self.telemetry is not None:
             self.telemetry.inc("recovery.replays")
             self.telemetry.inc("recovery.replayed_versions", replayed)
-        return replayed, len(standby.records), standby.snapshot_lsn
+        return moved
 
     def resync(self, node_id: str) -> None:
-        """After a restore: the rebuilt store restarts its LSN counter,
-        so the old log no longer lines up — drop buffered traffic for
-        the node, reset its standby, and take a fresh base snapshot."""
-        self._pending = [p for p in self._pending if p.node_id != node_id]
-        standby = self._standbys.get(node_id)
-        if standby is not None:
-            self._standbys[node_id] = StandbyLog(
-                node_id=node_id, standby_id=standby.standby_id
-            )
+        """After a readmission: the node's fresh store restarts its LSN
+        counter, so re-base its standby on a snapshot of that store."""
+        self._reset(node_id)
         self.take_snapshot(node_id)
+
+    def _reset(self, node_id: str) -> None:
+        """Drop the node's buffered traffic and empty its standby log."""
+        self._pending = [p for p in self._pending if p.node_id != node_id]
+        self._standbys[node_id] = StandbyLog(
+            node_id=node_id, standby_id=self.standby(node_id).standby_id
+        )
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, object]:
         """The ``stats()["recovery"]`` payload: replicator counters plus
-        per-node LSN lag, snapshot age, and standby log depth."""
-        from repro.cluster.node import NodeKind
-
+        per-live-data-node LSN lag, snapshot age, and standby log depth
+        (a dead node's data lives on the survivors it was promoted to)."""
         nodes: Dict[str, Dict[str, object]] = {}
-        for node in self.cluster.nodes_of(NodeKind.DATA, alive_only=False):
-            if node.store is None:
-                continue
+        for node in self.cluster.data_nodes:
             standby = self._standbys.get(node.node_id)
             shipped = standby.applied_lsn if standby else 0
             snapshot_lsn = standby.snapshot_lsn if standby else 0
@@ -432,7 +432,6 @@ class ContinuousReplicator:
             if self.telemetry is not None:
                 self.telemetry.set_gauge(f"recovery.lag.{node.node_id}", lag)
         return {
-            "enabled": self.config.enabled,
             "shipments": self.stats.shipments,
             "shipped_bytes": self.stats.shipped_bytes,
             "snapshots": self.stats.snapshots,

@@ -292,22 +292,6 @@ class DocumentStore:
             return head
         return self.put(head.tombstone())
 
-    def import_chain(self, versions) -> int:
-        """Adopt a full version chain from another store (re-homing after
-        a node failure: the bytes arrive from a surviving replica).
-
-        Versions must arrive oldest-first with their original ingest
-        timestamps; the clock observes each so logical time stays
-        consistent across the re-homed history.  Returns versions stored.
-        """
-        imported = 0
-        for document in versions:
-            if document.ingest_ts > 0:
-                self.clock.observe(document.ingest_ts)
-            self.put(document)
-            imported += 1
-        return imported
-
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------

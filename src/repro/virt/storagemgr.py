@@ -11,22 +11,17 @@ kind they hold, places replicas, and reacts to node failures — counting
 its own (machine) actions so TCO accounting can contrast them with the
 knob-turning a manual stack requires.
 
-Repairs are physical, not bookkeeping: every :class:`RepairAction` the
-placement layer emits is executed as a segment-state copy — bytes over
-the simulated network from a reachable surviving holder to the new
-replica home, with the segment's content digest recorded per copy so a
-restore can prove the replicas agree (docs/RECOVERY.md).  A copy that
-cannot run (source unreachable, or no source at all) is buffered and
-retried on the next repair sweep — deferred, never dropped.
+Placement is bookkeeping: it is what the appliance's degradation signal
+(``Impliance.missing_segments``, ``health()["under_replicated"]``) reads.
+The bytes that survive a failure are the standby log's
+(:mod:`repro.storage.recovery`, docs/RECOVERY.md), not segment copies.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.cluster.network import PartitionError
 from repro.storage.replication import (
     ReliabilityClass,
     RepairAction,
@@ -42,9 +37,6 @@ class StorageManagerStats:
     repairs: int = 0
     failures_handled: int = 0
     autonomic_actions: int = 0
-    copies: int = 0
-    bytes_copied: int = 0
-    copies_deferred: int = 0
     admin_actions: int = 0  # stays zero: that is the point
 
 
@@ -57,27 +49,17 @@ class StorageManager:
         replica_manager: ReplicaManager,
         telemetry=None,
         compressor=None,
-        network=None,
     ) -> None:
         self.store = store
         self.replicas = replica_manager
         self.telemetry = telemetry
         #: Optional cold-path compressor (storage pushdown, Section 3.1):
-        #: sealed segments are compressed before their replica copies
-        #: ship, and the stage's byte counters flow onto the shared
-        #: metrics (``storage.compress.*``) when the compressor carries a
-        #: telemetry attachment.
+        #: sealed segments are compressed, and the stage's byte counters
+        #: flow onto the shared metrics (``storage.compress.*``) when the
+        #: compressor carries a telemetry attachment.
         self.compressor = compressor
-        #: Optional interconnect: when present, repair copies charge real
-        #: transfers and respect partitions (deferring, not dropping).
-        self.network = network
         self.stats = StorageManagerStats()
         self._segment_class: Dict[int, ReliabilityClass] = {}
-        self._segment_bytes: Dict[int, int] = {}
-        self._segment_digests: Dict[int, str] = {}
-        #: (segment_id, node_id) → content digest of the copy held there.
-        self.replica_digests: Dict[Tuple[int, str], str] = {}
-        self._pending_copies: List[RepairAction] = []
         store.seal_listeners.append(self.on_segment_sealed)
 
     # ------------------------------------------------------------------
@@ -97,23 +79,6 @@ class StorageManager:
                 break
         return best
 
-    def _fingerprint_segment(self, segment_id: int) -> None:
-        """Record the sealed segment's bytes and content digest — what a
-        repair copy ships, and what digest-identity checks compare."""
-        hasher = hashlib.sha1()
-        nbytes = 0
-        for document in self.store.segment(segment_id).documents():
-            hasher.update(
-                f"{document.doc_id}:{document.version}:"
-                f"{document.content_digest()}".encode("utf-8")
-            )
-            nbytes += document.size_bytes()
-        self._segment_bytes[segment_id] = nbytes
-        self._segment_digests[segment_id] = hasher.hexdigest()
-
-    def segment_digest(self, segment_id: int) -> Optional[str]:
-        return self._segment_digests.get(segment_id)
-
     def on_segment_sealed(self, segment_id: int) -> None:
         """Placement hook: sealed segments get replicated by class."""
         reliability = self.classify_segment(segment_id)
@@ -121,11 +86,7 @@ class StorageManager:
         if self.compressor is not None:
             for document in self.store.segment(segment_id).documents():
                 self.compressor.compress_document(document)
-        self._fingerprint_segment(segment_id)
-        replica_set = self.replicas.place(segment_id, reliability)
-        digest = self._segment_digests[segment_id]
-        for node_id in replica_set.node_ids:
-            self.replica_digests[(segment_id, node_id)] = digest
+        self.replicas.place(segment_id, reliability)
         self.stats.segments_placed += 1
         self.stats.autonomic_actions += 1
         if self.telemetry is not None:
@@ -143,88 +104,9 @@ class StorageManager:
         return placed
 
     # ------------------------------------------------------------------
-    # physical copy execution
-    # ------------------------------------------------------------------
-    def _copy(self, action: RepairAction) -> bool:
-        """Execute one repair copy; True when the bytes moved.
-
-        The source is re-derived from the *current* holders (the action
-        may have waited in the deferred buffer across topology changes),
-        preferring the planned source when it still holds a copy.
-        """
-        target = action.target_node
-        try:
-            holders = set(self.replicas.placement(action.segment_id).node_ids)
-        except LookupError:
-            holders = set()
-        holders.discard(target)
-        candidates: List[str] = []
-        if action.source_node is not None and (
-            action.source_node in holders or not holders
-        ):
-            candidates.append(action.source_node)
-        candidates.extend(
-            sorted(h for h in holders if h != action.source_node)
-        )
-        nbytes = self._segment_bytes.get(action.segment_id, 0)
-        for source in candidates:
-            if self.network is not None:
-                if self.network.is_partitioned(source, target):
-                    continue
-                try:
-                    self.network.transfer(nbytes, source, target)
-                except PartitionError:
-                    continue  # link dropped between check and copy
-            self.replica_digests[(action.segment_id, target)] = (
-                self._segment_digests.get(action.segment_id)
-            )
-            self.stats.copies += 1
-            self.stats.bytes_copied += nbytes
-            if self.telemetry is not None:
-                self.telemetry.inc("storage.repair_copies")
-                self.telemetry.inc("storage.repair_bytes", nbytes)
-            return True
-        return False
-
-    def _execute_copies(self, actions: List[RepairAction]) -> None:
-        """Run the placement layer's repair plan as physical copies;
-        blocked copies join the deferred buffer (never dropped)."""
-        for action in actions:
-            if not self._copy(action):
-                self._pending_copies.append(action)
-                self.stats.copies_deferred += 1
-                if self.telemetry is not None:
-                    self.telemetry.inc("storage.repair_copies_deferred")
-
-    def retry_copies(self) -> int:
-        """Retry every deferred copy; stale ones (the placement no longer
-        wants that replica) are discarded.  Returns copies completed."""
-        pending, self._pending_copies = self._pending_copies, []
-        completed = 0
-        for action in pending:
-            try:
-                replica_set = self.replicas.placement(action.segment_id)
-            except LookupError:
-                continue  # segment's placement is gone; nothing to copy
-            if action.target_node not in replica_set.node_ids:
-                continue  # placement moved on while the copy waited
-            if self._copy(action):
-                completed += 1
-            else:
-                self._pending_copies.append(action)
-        return completed
-
-    @property
-    def pending_copy_count(self) -> int:
-        return len(self._pending_copies)
-
-    # ------------------------------------------------------------------
     def on_node_failure(self, node_id: str) -> List[RepairAction]:
         """React to a failure: re-replicate everything the node held."""
         actions = self.replicas.on_node_failure(node_id)
-        for key in [k for k in self.replica_digests if k[1] == node_id]:
-            del self.replica_digests[key]
-        self._execute_copies(actions)
         self.stats.failures_handled += 1
         self.stats.repairs += len(actions)
         self.stats.autonomic_actions += 1 + len(actions)
@@ -238,8 +120,6 @@ class StorageManager:
         """New capacity arrived; repair any outstanding deficits."""
         self.replicas.add_node(node_id)
         actions = self.replicas.repair_deficits()
-        self._execute_copies(actions)
-        self.retry_copies()
         self.stats.repairs += len(actions)
         self.stats.autonomic_actions += 1 + len(actions)
         if self.telemetry is not None:
@@ -250,9 +130,7 @@ class StorageManager:
     def on_replica_corrupted(self, segment_id: int, node_id: str) -> List[RepairAction]:
         """A replica copy went bad (chaos corruption fault): drop it and
         re-replicate from a surviving copy, autonomically."""
-        self.replica_digests.pop((segment_id, node_id), None)
         actions = self.replicas.invalidate_replica(segment_id, node_id)
-        self._execute_copies(actions)
         self.stats.repairs += len(actions)
         self.stats.autonomic_actions += 1 + len(actions)
         if self.telemetry is not None:
@@ -265,8 +143,6 @@ class StorageManager:
         """Repair every under-replicated segment with current capacity
         (the chaos controller's settle pass)."""
         actions = self.replicas.repair_deficits()
-        self._execute_copies(actions)
-        self.retry_copies()
         if actions:
             self.stats.repairs += len(actions)
             self.stats.autonomic_actions += len(actions)
@@ -276,30 +152,17 @@ class StorageManager:
         return actions
 
     # ------------------------------------------------------------------
-    def adopt_store(
-        self, store: DocumentStore, replica_manager: Optional[ReplicaManager] = None
-    ) -> None:
-        """Rebind to a rebuilt store after a point-in-time restore.
+    def adopt_store(self, store: DocumentStore, replica_manager: ReplicaManager) -> None:
+        """Rebind to the fresh store of a readmitted node.
 
-        The rebuilt store re-allocates segment ids from zero, so every
-        piece of per-segment state keyed by the old ids — classes,
-        fingerprints, replica digests, deferred copies — is dropped, and
-        a fresh :class:`ReplicaManager` (when given) replaces the old
-        placements wholesale.  The caller re-places the rebuilt segments
-        with :meth:`place_open_segments` once the node is live again.
+        The fresh store allocates segment ids from zero, so the segment
+        classes keyed by the old ids are dropped, and *replica_manager*
+        replaces the old placements wholesale.
         """
-        try:
-            self.store.seal_listeners.remove(self.on_segment_sealed)
-        except ValueError:
-            pass
+        self.store.seal_listeners.remove(self.on_segment_sealed)
         self.store = store
-        if replica_manager is not None:
-            self.replicas = replica_manager
+        self.replicas = replica_manager
         self._segment_class.clear()
-        self._segment_bytes.clear()
-        self._segment_digests.clear()
-        self.replica_digests.clear()
-        self._pending_copies.clear()
         store.seal_listeners.append(self.on_segment_sealed)
 
     # ------------------------------------------------------------------
@@ -310,8 +173,6 @@ class StorageManager:
             "segments_placed": self.stats.segments_placed,
             "under_replicated": [r.segment_id for r in under],
             "fully_replicated": len(self.replicas.placements()) - len(under),
-            "pending_copies": len(self._pending_copies),
-            "bytes_copied": self.stats.bytes_copied,
             "admin_actions": self.stats.admin_actions,
             "autonomic_actions": self.stats.autonomic_actions,
         }

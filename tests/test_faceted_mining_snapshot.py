@@ -148,7 +148,7 @@ class TestSnapshotLookupAcrossStores:
         # re-home the chain onto a second store, which then takes a write
         # the stale copy never sees
         fresh = DocumentStore(clock=clock)
-        fresh.import_chain(list(stale.history("p1")))
+        fresh.put_many(stale.history("p1"))
         fresh.update("p1", {"prices": {"sku": 1, "price": 30.0}})
 
         ts = clock.now

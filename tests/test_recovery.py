@@ -1,11 +1,15 @@
-"""Continuous replication, standby logs, and point-in-time restore.
+"""Continuous replication, standby logs, failover and readmission.
 
-Covers the recovery tentpole (docs/RECOVERY.md) — commit LSNs, shipment
-semantics under partitions, snapshot truncation, replay, and the full
-``Impliance.restore`` path — plus the replication bugfix sweep: repair
-source selection, the per-round repair burst cap, and the replica-edge
-cases around PlacementError, invalidation, and availability cycles.
+Covers the recovery path (docs/RECOVERY.md) — commit LSNs, shipment
+semantics under partitions, snapshot truncation, replay, failover by
+promoting the standby (``Impliance.fail_node``) and readmission from an
+empty store (``restore`` / ``recover_node``) — plus the replication
+bugfix sweep: repair source selection, the per-round repair burst cap,
+and the replica-edge cases around PlacementError, invalidation, and
+availability cycles.
 """
+
+from dataclasses import asdict
 
 import pytest
 
@@ -129,9 +133,24 @@ class TestReplicatorShipping:
             assert node_report["lag"] == 0, f"{node_id} lagging"
         assert report["pending"] == 0
 
+    def test_recovery_stats_schema(self):
+        # docs/OBSERVABILITY.md documents exactly these keys.
+        app = small_app()
+        app.fail_node("data-1")
+        report = app.stats()["recovery"]
+        assert set(report) == {
+            "shipments", "shipped_bytes", "snapshots", "retries", "buffered",
+            "pending", "replays", "replayed_versions", "restores", "nodes",
+        }
+        assert set(report["nodes"]) == {"data-0"}  # live data nodes only
+        assert set(report["nodes"]["data-0"]) == {
+            "commit_lsn", "shipped_lsn", "lag", "snapshot_lsn",
+            "snapshot_age", "log_records", "standby",
+        }
+
     def test_partition_buffers_never_drops(self):
         app = small_app(n_data_nodes=1)
-        standby_host = app.recovery._standby_for("data-0").standby_id
+        standby_host = app.recovery.standby("data-0").standby_id
         app.cluster.network.partition("data-0", standby_host)
         app.ingest("written during the partition", "text", doc_id="part-1")
         assert app.recovery.pending_count > 0
@@ -147,7 +166,7 @@ class TestReplicatorShipping:
 
     def test_later_publication_flushes_backlog(self):
         app = small_app(n_data_nodes=1)
-        standby_host = app.recovery._standby_for("data-0").standby_id
+        standby_host = app.recovery.standby("data-0").standby_id
         app.cluster.network.partition("data-0", standby_host)
         app.ingest("first, blocked", "text", doc_id="flush-1")
         assert app.recovery.pending_count > 0
@@ -179,9 +198,10 @@ class TestReplicatorShipping:
         app.update_document("rc-0", {"body": "rc-0 grew a second version"})
         source = app.cluster.node("data-0").store
 
+        replay = list(app.recovery.standby("data-0").replay_documents())
+        assert len(replay) == 6
         fresh = DocumentStore()
-        replayed, records, snapshot_lsn = app.recovery.replay_into(fresh, "data-0")
-        assert replayed == 6
+        fresh.put_many(replay)
         assert fresh.doc_ids() == source.doc_ids()
         for doc_id in source.doc_ids():
             assert (
@@ -189,17 +209,119 @@ class TestReplicatorShipping:
                 == source.history(doc_id).records()
             )
 
-    def test_disabled_replicator_ships_nothing(self):
-        app = small_app(recovery=RecoveryConfig(enabled=False))
-        app.ingest("nothing ships for me", "text", doc_id="off-1")
-        assert app.recovery.stats.shipments == 0
-        with pytest.raises(LookupError):
-            app.recovery.standby("data-0")
-
 
 # ======================================================================
-# point-in-time restore
+# failover (promote) and readmission (restore / recover_node)
 # ======================================================================
+def holders(app: Impliance, doc_id: str) -> int:
+    """Live data nodes holding a chain for *doc_id*."""
+    return sum(1 for node in app.cluster.data_nodes if node.store.contains(doc_id))
+
+
+def orders_app() -> Impliance:
+    app = small_app(n_data_nodes=3)
+    app.ingest_many(
+        [{"id": i, "amount": i % 17 + 1} for i in range(300)],
+        "relational",
+        table="orders",
+    )
+    return app
+
+
+def orders_totals(app: Impliance):
+    session = app.connect()
+    count = session.sql("SELECT count(*) AS n FROM orders").rows[0]["n"]
+    total = session.sql("SELECT sum(amount) AS s FROM orders").rows[0]["s"]
+    return app.doc_count, count, total
+
+
+class TestFailover:
+    @pytest.mark.parametrize("readmit", ["restore", "recover_node"])
+    def test_readmission_keeps_one_holder_per_document(self, readmit):
+        app = orders_app()
+        doc_ids = [d for n in app.cluster.data_nodes for d in n.store.doc_ids()]
+        before = orders_totals(app)
+        assert before == (300, 300, sum(i % 17 + 1 for i in range(300)))
+
+        moved = app.fail_node("data-1")
+        assert moved > 0
+        assert orders_totals(app) == before
+        getattr(app, readmit)("data-1")
+        assert orders_totals(app) == before
+        assert all(holders(app, doc_id) == 1 for doc_id in doc_ids)
+        assert app.cluster.node("data-1").store.doc_count == 0
+
+    @pytest.mark.parametrize("readmit", ["restore", "recover_node"])
+    def test_update_after_readmission_is_what_reads_return(self, readmit):
+        app = orders_app()
+        victim_docs = app.cluster.node("data-1").store.doc_ids()
+        doc_id = victim_docs[0]
+        row_id = app.lookup(doc_id).first(("orders", "id"))
+        app.fail_node("data-1")
+        getattr(app, readmit)("data-1")
+
+        app.update_document(doc_id, {"orders": {"id": row_id, "amount": 1000}})
+        assert app.lookup(doc_id).first(("orders", "amount")) == 1000
+        rows = app.connect().sql(
+            f"SELECT amount FROM orders WHERE id = {row_id}"
+        ).rows
+        assert rows == [{"amount": 1000}]
+
+    def test_failover_never_reads_the_dead_store(self, monkeypatch):
+        app = orders_app()
+        doc_ids = [d for n in app.cluster.data_nodes for d in n.store.doc_ids()]
+        before = orders_totals(app)
+        victim = app.cluster.node("data-1").store
+
+        def poisoned(*_args, **_kwargs):
+            raise AssertionError("read the dead node's store")
+
+        for name in (
+            "doc_ids", "history", "lookup", "get", "get_version", "as_of",
+            "contains", "has_version", "scan", "scan_batches",
+            "scan_view_batches", "scan_addresses",
+        ):
+            monkeypatch.setattr(victim, name, poisoned)
+
+        assert app.fail_node("data-1") > 0
+        assert all(app.lookup(doc_id) is not None for doc_id in doc_ids)
+        assert orders_totals(app) == before
+        app.restore("data-1")
+        assert orders_totals(app) == before
+
+    def test_promote_replays_buffered_shipments(self):
+        # The victim's last commit never reached its standby (partition):
+        # the promote applies it from the replicator's buffer.
+        app = small_app(n_data_nodes=2)
+        app.ingest_many([doc(i) for i in range(6)], "document")
+        victim = app.cluster.home_of("late-1").node_id
+        standby_host = app.recovery.standby(victim).standby_id
+        app.cluster.network.partition(victim, standby_host)
+        app.ingest("committed behind a partition", "text", doc_id="late-1")
+        assert app.recovery.pending_count > 0
+
+        app.fail_node(victim)
+        assert app.lookup("late-1") is not None
+        assert app.recovery.pending_count == 0
+
+    def test_promote_charges_the_survivors(self):
+        app = orders_app()
+        started = app.cluster.makespan()
+        app.fail_node("data-1")
+        assert app.cluster.makespan() > started
+        assert app.stats()["recovery"]["replays"] == 1
+
+    def test_non_data_failure_leaves_storage_untouched(self):
+        app = small_app()
+        app.ingest_many([doc(i) for i in range(8)], "document")
+        before = [asdict(m.stats) for m in app._storage_managers]
+        assert app.fail_node("grid-0") == 0
+        assert [asdict(m.stats) for m in app._storage_managers] == before
+        assert app.recover_node("grid-0") == 0
+        assert [asdict(m.stats) for m in app._storage_managers] == before
+        assert app.telemetry.value("storage.failures_handled") == 0
+
+
 class TestRestore:
     def test_restore_failed_node_end_to_end(self):
         app = small_app(n_data_nodes=3)
@@ -209,9 +331,10 @@ class TestRestore:
         victim_docs = list(app.cluster.node("data-1").store.doc_ids())
         assert victim_docs, "victim owned nothing; test cannot exercise restore"
 
-        app.fail_node("data-1")
+        assert app.fail_node("data-1") == len(victim_docs)
         # Life goes on while the node is down: new documents, and a new
-        # version of a chain the victim owned (restore must catch up).
+        # version of a chain the victim owned (served where it was
+        # promoted to).
         app.ingest("written during the outage", "text", doc_id="post-1")
         app.update_document(
             victim_docs[0], {"body": "updated during the outage"}
@@ -220,18 +343,11 @@ class TestRestore:
         report = app.restore("data-1")
         assert report.node_id == "data-1"
         assert app.cluster.node("data-1").alive
-        assert report.chains == len(victim_docs)
-        assert report.unmatched_chains == 0
-        assert report.verified_chains == report.chains
-        assert report.versions_caught_up >= 1  # the outage-time update
-        assert report.finish_ms > report.started_ms
-
-        restored = app.cluster.node("data-1").store
-        for doc_id in victim_docs:
-            assert doc_id in restored.versions
-        assert restored.history(victim_docs[0]).head_version == 2
+        assert app.cluster.node("data-1").store.doc_count == 0
         for doc_id in victim_docs + ["post-1"]:
+            assert holders(app, doc_id) == 1
             assert app.lookup(doc_id) is not None
+        assert app.lookup(victim_docs[0]).version == 2
         assert app.missing_segments() == 0
         assert app.stats()["recovery"]["restores"] == 1
 
@@ -247,19 +363,11 @@ class TestRestore:
         # restore must still bring it back (to an empty store), not fail.
         app = small_app(n_data_nodes=3)
         app.fail_node("data-1")
-        report = app.restore("data-1")
-        assert report.chains == 0
-        assert report.versions_replayed == 0
+        app.restore("data-1")
+        assert app.cluster.node("data-1").store.doc_count == 0
         assert app.cluster.node("data-1").alive
         app.ingest("life after an empty restore", "text", doc_id="er-1")
         assert app.lookup("er-1") is not None
-
-    def test_restore_without_standby_raises(self):
-        app = small_app(n_data_nodes=2, recovery=RecoveryConfig(enabled=False))
-        app.ingest("never shipped anywhere", "text", doc_id="ns-1")
-        app.fail_node("data-0")
-        with pytest.raises(LookupError):
-            app.restore("data-0")
 
     def test_restored_node_resumes_shipping(self):
         # Three data nodes: enough capacity that the rebuilt GOLD

@@ -3,11 +3,12 @@
 1. ``VersionChain.as_of`` bisects — the property pins its equivalence to
    the linear scan it replaced, over random monotone chains and random
    probe timestamps (ties included).
-2. Restore fidelity under chaos interleavings: random workloads (puts,
+2. Failover fidelity under chaos interleavings: random workloads (puts,
    updates, deletes) interleaved with standby-link partitions and a
-   crash; after ``Impliance.restore`` the rebuilt node's chains carry
-   the victim's crash-time records as an exact prefix, survivor
-   verification passes, and no committed document is lost (RPO = 0).
+   crash; after the promote, and again after ``Impliance.restore``
+   readmits the node, every chain the victim held serves from exactly
+   one live node and carries the victim's crash-time records as an
+   exact prefix, and no committed document is lost (RPO = 0).
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ def apply_ops(app: Impliance, ops, standby_host: str, created: set) -> None:
             app.cluster.network.heal(VICTIM, standby_host)
 
 
+def serving_chain(app: Impliance, doc_id: str) -> VersionChain:
+    """*doc_id*'s one serving chain, wherever it lives (exactly one live
+    data node may hold it)."""
+    stores = [n.store for n in app.cluster.data_nodes if n.store.contains(doc_id)]
+    assert len(stores) == 1, f"{doc_id} has {len(stores)} holders"
+    return stores[0].history(doc_id)
+
+
 class TestRestoreFidelityProperty:
     @settings(max_examples=10, deadline=None)
     @given(ops=op_strategy, post_ops=op_strategy)
@@ -127,7 +136,7 @@ class TestRestoreFidelityProperty:
                 recovery=RecoveryConfig(snapshot_every=4),
             )
         )
-        standby_host = app.recovery._standby_for(VICTIM).standby_id
+        standby_host = app.recovery.standby(VICTIM).standby_id
         created: set = set()
 
         apply_ops(app, ops, standby_host, created)
@@ -144,38 +153,26 @@ class TestRestoreFidelityProperty:
             if app.lookup(doc_id) is not None
         }
 
+        # The promote serves the crash-time chains unchanged...
         app.fail_node(VICTIM)
+        for doc_id, records in oracle.items():
+            assert serving_chain(app, doc_id).records() == records, doc_id
+
+        # ...and after more work and a readmission they are still an
+        # exact prefix: nothing committed was rewound or rewritten.
         apply_ops(app, post_ops, standby_host, created)
         app.cluster.network.heal(VICTIM, standby_host)
-        if not oracle:
-            return  # victim owned nothing; restore has nothing to prove
-
-        report = app.restore(VICTIM)
-        restored = app.cluster.node(VICTIM).store
-
-        # Survivor verification passed for every rebuilt chain.
-        assert report.unmatched_chains == 0
-        assert report.verified_chains == report.chains
-
-        # The crash-time records are an exact prefix of every rebuilt
-        # chain: nothing committed was rewound or rewritten.
+        app.restore(VICTIM)
         for doc_id, records in oracle.items():
-            rebuilt = restored.history(doc_id).records()
+            rebuilt = serving_chain(app, doc_id).records()
             assert rebuilt[: len(records)] == records, doc_id
+        for doc_id in created:
+            serving_chain(app, doc_id)
 
         # RPO = 0: every document live before the crash still answers
-        # (unless a post-crash op deleted it on the survivors).
-        deleted_after = {
-            doc_id
-            for doc_id in live_before
-            if app.lookup(doc_id) is None
-        }
-        for doc_id in deleted_after:
-            chain = None
-            for node in app.cluster.data_nodes:
-                if node.store is not None and node.store.contains(doc_id):
-                    chain = node.store.history(doc_id)
-                    break
-            assert chain is not None and chain.head.is_tombstone, (
-                f"{doc_id} vanished without a tombstone"
-            )
+        # (unless a post-crash op deleted it, leaving a tombstone).
+        for doc_id in live_before:
+            if app.lookup(doc_id) is None:
+                assert serving_chain(app, doc_id).head.is_tombstone, (
+                    f"{doc_id} vanished without a tombstone"
+                )
