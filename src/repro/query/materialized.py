@@ -6,24 +6,24 @@ transformed states that are easier to process."  Section 3.4 lists
 "materialized views, indexes, and replicas" as the re-creatable derived
 data the storage manager may replicate cheaply (BRONZE class).
 
-A :class:`MaterializedQuery` caches the result of one SQL query.  Change
-sets from the invalidation bus maintain it **incrementally** when the
-query's shape allows (see :mod:`repro.query.ivm`): an upsert or delete
-touches only the changed documents' contribution, and reads re-derive the
-result from the maintained base instead of rescanning the cluster.  When
-a delta is not maintainable — joins, LIMIT, subject-widened views, a
-change arriving mid-refresh, chaos corruption announced as a node event —
-the view **falls back to a full refresh**, which is exactly the PR 4
-behavior.  Reads either serve the cache, fold pending deltas, refresh on
-demand, or — the Impliance twist — persist the rows as a DERIVED document
-so the transformed state is itself searchable, versioned, and replicated
-like everything else.
+A :class:`MaterializedQuery` is the one object that keeps a SQL answer
+valid under writes: a materialized view, or a standing SQL query whose
+notifications are its **delta cursor** (:meth:`~MaterializedQuery.drain_delta`).
+Bus change sets maintain it **incrementally** when the query's shape
+allows (see :mod:`repro.query.ivm`), touching only the changed documents'
+contribution; joins, LIMIT, subject-widened views, a change arriving
+mid-refresh or a node event **fall back to a full refresh**.  Reads serve
+the cache, fold pending deltas, refresh on demand, or — the Impliance
+twist — persist the rows as a DERIVED document so the transformed state
+is itself searchable, versioned, and replicated like everything else.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.cache.bus import ChangeSet, InvalidationBus
 from repro.exec.operators import Row
@@ -34,15 +34,17 @@ from repro.query.plans import base_views
 from repro.query.sql import parse_sql
 
 
+def _row_key(row: Row) -> str:
+    """Canonical multiset key of a row; deltas list rows in this order."""
+    return json.dumps(row, sort_keys=True, default=str)
+
+
 @dataclass
 class MaterializationStats:
     refreshes: int = 0
     cache_hits: int = 0
-    invalidations: int = 0
     #: Change sets applied incrementally (each O(changed documents)).
     deltas_applied: int = 0
-    #: Documents those change sets carried for this view.
-    delta_documents: int = 0
     #: Reads served by folding pending deltas instead of a full refresh.
     incremental_serves: int = 0
     #: Full refreshes forced on an incrementally maintained view
@@ -61,11 +63,6 @@ class MaterializedQuery:
         The SELECT this caches.
     engine:
         Engine to (re)compute through.
-    incremental:
-        When True (default) and the query's plan is maintainable, bus
-        change sets are applied incrementally; False pins the PR 4
-        refresh-only behavior (used by the differential harness as its
-        from-scratch oracle, and by benchmarks as the baseline).
     epoch_source:
         Callable returning the current bus epoch; the refresh race guard
         compares it before/after a recompute.  The manager wires this to
@@ -78,7 +75,6 @@ class MaterializedQuery:
         sql: str,
         engine: QueryEngine,
         *,
-        incremental: bool = True,
         epoch_source: Optional[Callable[[], int]] = None,
     ) -> None:
         if not name:
@@ -86,17 +82,23 @@ class MaterializedQuery:
         self.name = name
         self.sql = sql
         self.engine = engine
-        self.incremental = incremental
         self.epoch_source = epoch_source if epoch_source is not None else (lambda: 0)
         self._logical = parse_sql(sql)
         self._dependencies = frozenset(base_views(self._logical))
         self._cache: Optional[List[Row]] = None
         self._dirty = True
         self._refreshing = False
+        self._plan = analyze(self._logical)
+        #: Set once built; None on the engine path.
         self._maintainer: Optional[ViewMaintainer] = None
-        self._maintainer_resolved = False
+        #: The delta cursor (opened by the first :meth:`drain_delta`): units
+        #: changed since the last drain with their rows as of that drain,
+        #: and the net row-key counts folded so far.
+        self._touched: Optional[Dict[Hashable, Optional[Row]]] = None
+        self._net: Counter = Counter()
+        self._net_rows: Dict[str, Row] = {}
         self.stats = MaterializationStats()
-        self._telemetry = getattr(engine, "telemetry", None)
+        self._telemetry = engine.telemetry
 
     # ------------------------------------------------------------------
     @property
@@ -112,53 +114,42 @@ class MaterializedQuery:
 
     @property
     def is_maintainable(self) -> bool:
-        """True when change sets are applied incrementally (resolved at
-        first refresh, when the catalog knows the scanned view)."""
+        """True when change sets are applied incrementally (known after a
+        refresh, when the catalog knows the scanned view)."""
         return self._maintainer is not None
 
-    def _inc(self, counter: str, value: int = 1) -> None:
-        if self._telemetry is not None:
-            self._telemetry.inc(counter, value)
+    @property
+    def delta_pending(self) -> bool:
+        """True when the next :meth:`drain_delta` may report a change."""
+        return (
+            self._touched is None or self._dirty or bool(self._touched)
+            or any(self._net.values())
+        )
 
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         self._dirty = True
-        self.stats.invalidations += 1
-
-    def on_put(self, document: Document, address=None) -> None:
-        """Legacy per-document listener: a write to a dependency table
-        marks us dirty (no incremental application).
-
-        Writes to unrelated tables leave the cache valid — dependency
-        tracking is what makes materialization cheap under mixed load.
-        Persisting *this* materialization's own state is exempt: an MV
-        whose SQL reads an ``mv_`` view would otherwise self-invalidate
-        on every :meth:`to_document` put, staying dirty forever.
-        """
-        if document.metadata.get("materialization") == self.name:
-            return
-        table = document.metadata.get("table")
-        if table in self._dependencies:
-            self.invalidate()
 
     def on_node_event(self, node_id: str, kind: str) -> None:
         """Chaos/topology/catalog change: the maintained base may no
         longer reflect what a scan would see (corruption, re-homing, a
         redefined view) — fall back to a full refresh on next read."""
-        if self._maintainer is not None and self._maintainer.built:
+        if self._maintainer is not None:
             self.stats.fallbacks += 1
-            self._inc(f"mv.fallback.{kind}")
+            self._telemetry.inc(f"mv.fallback.{kind}")
         self.invalidate()
 
     def apply_changes(self, changeset: ChangeSet) -> None:
         """Bus delta: apply incrementally when possible, else invalidate.
 
-        The non-incremental paths reproduce :meth:`on_put`'s dependency
-        semantics exactly; the incremental path narrows further (a
-        dependency-table write that cannot change this result — filtered
-        out, wrong view — leaves the cache untouched entirely).
+        Persisting *this* materialization's own state is exempt: an MV
+        whose SQL reads an ``mv_`` view would otherwise self-invalidate
+        on every :meth:`to_document` put, staying dirty forever.  Without
+        a maintainer any write to a dependency table invalidates; with
+        one, a write that cannot change this result (filtered out, wrong
+        view) leaves the cache untouched entirely.
         """
         changes = [
             change
@@ -167,7 +158,7 @@ class MaterializedQuery:
         ]
         if not changes:
             return
-        maintainer = self._maintainer if self.incremental else None
+        maintainer = self._maintainer
         if maintainer is None:
             if any(change.table in self._dependencies for change in changes):
                 self.invalidate()
@@ -175,75 +166,77 @@ class MaterializedQuery:
         relevant = maintainer.relevant(changes)
         if not relevant:
             return
-        if self._refreshing or self._dirty or not maintainer.built:
+        if self._refreshing or self._dirty:
             # Mid-refresh or already stale: the pending full refresh (or
             # its epoch guard) covers these documents.
             self.invalidate()
             return
         try:
-            touched = maintainer.apply(relevant)
+            touched = maintainer.apply(relevant, self._touched)
         except NonMaintainable:
             self.stats.fallbacks += 1
-            self._inc("mv.fallback.delta")
+            self._telemetry.inc("mv.fallback.delta")
             self.invalidate()
             return
         if touched:
             self._cache = None  # pending: next read folds the delta
             self.stats.deltas_applied += 1
-            self.stats.delta_documents += touched
-            self._inc("mv.delta.applied")
-            self._inc("mv.delta.docs", touched)
+            self._telemetry.inc("mv.delta.applied")
+            self._telemetry.inc("mv.delta.docs", touched)
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _ensure_maintainer(self) -> Optional[ViewMaintainer]:
-        """Resolve the incremental maintainer lazily, at first refresh —
-        the scanned view may be auto-defined by ingest after the MV."""
-        if not self.incremental:
-            return None
-        if self._maintainer is None and not self._maintainer_resolved:
-            plan = analyze(self._logical)
-            repository = getattr(self.engine, "repository", None)
-            if plan is not None and repository is not None:
-                maintainer = ViewMaintainer(plan, repository)
-                try:
-                    maintainer._resolve_view()
-                except NonMaintainable:
-                    maintainer = None
+    def _recompute(self) -> List[Row]:
+        """Rebuild the maintainer, or answer through the engine when the
+        plan is not maintainable or its view is missing or widens rows.
+        The maintainer is kept only once built, and retried at every
+        refresh: the scanned view may be auto-defined by ingest later."""
+        maintainer = self._maintainer
+        repository = getattr(self.engine, "repository", None)
+        if maintainer is None and self._plan is not None and repository is not None:
+            maintainer = ViewMaintainer(self._plan, repository)
+        if maintainer is not None:
+            try:
+                maintainer.rebuild()
                 self._maintainer = maintainer
-            if self._maintainer is not None or plan is None:
-                # A missing view may appear later; retry until it does.
-                self._maintainer_resolved = True
-        return self._maintainer
+                return maintainer.evaluate()
+            except NonMaintainable:
+                self._maintainer = None
+        return list(self.engine.sql(self.sql).rows)
 
     def refresh(self) -> List[Row]:
-        # Clear the dirty flag *before* recomputing, and snapshot the bus
-        # epoch: an invalidation or delta that fires mid-refresh (a
-        # discovery put piggybacked on the refresh scan, a concurrent
-        # ingest) must re-mark the cache dirty rather than be erased by a
-        # post-recompute clear — the classic lost invalidation.  The
-        # epoch comparison mirrors the result cache's admission guard in
-        # ``QueryEngine._sql_cached``.
+        # Clear the dirty flag *before* recomputing and snapshot the bus
+        # epoch (as ``QueryEngine._sql_cached`` guards result admission):
+        # an invalidation or delta that fires mid-refresh must re-mark the
+        # view dirty, not be erased by a post-recompute clear.  A recompute
+        # that raises leaves the view dirty too, so the next read retries.
         self._dirty = False
         epoch_before = self.epoch_source()
         self._refreshing = True
         try:
-            maintainer = self._ensure_maintainer()
-            if maintainer is not None:
-                maintainer.rebuild()
-                self._cache = maintainer.evaluate()
-            else:
-                result = self.engine.sql(self.sql)
-                self._cache = list(result.rows)
+            before = None
+            if self._touched is not None:  # the rows the cursor accounts for
+                if self._maintainer is not None:
+                    self._fold_touched()
+                    before = self._maintainer.evaluate()
+                else:
+                    before = self._cache or []
+            self._cache = self._recompute()
+        except BaseException:
+            self._dirty = True
+            raise
         finally:
             self._refreshing = False
+        if before is not None:
+            self._count(before, -1)
+            self._count(self._cache, 1)
         if self.epoch_source() != epoch_before:
             # Something changed while we recomputed: serve these rows but
             # leave the view flagged stale.
             self._dirty = True
         self.stats.refreshes += 1
-        self._inc("mv.refresh.full")
+        self._telemetry.inc("mv.refresh.full")
         return list(self._cache)
 
     def rows(self) -> List[Row]:
@@ -251,15 +244,54 @@ class MaterializedQuery:
         if self._dirty:
             return self.refresh()
         if self._cache is None:
-            maintainer = self._maintainer
-            if maintainer is not None and maintainer.built:
-                self._cache = maintainer.evaluate()
+            if self._maintainer is not None:
+                self._cache = self._maintainer.evaluate()
                 self.stats.incremental_serves += 1
-                self._inc("mv.serve.incremental")
+                self._telemetry.inc("mv.serve.incremental")
                 return list(self._cache)
             return self.refresh()
         self.stats.cache_hits += 1
         return list(self._cache)
+
+    # ------------------------------------------------------------------
+    # the delta cursor
+    # ------------------------------------------------------------------
+    def drain_delta(self) -> Tuple[Tuple[Row, ...], Tuple[Row, ...]]:
+        """``(added, removed)``: the net multiset change of :meth:`rows`
+        since the last drain, each sorted by row key.  The first drain
+        opens the cursor and reports the whole current result as added;
+        changes not drained keep accumulating into the next one."""
+        if self._touched is None:
+            self._count(self.rows(), 1)
+            self._touched = {}
+        elif self._dirty:
+            self.refresh()
+        else:
+            self._fold_touched()
+        net, rows = self._net, self._net_rows
+        self._net, self._net_rows = Counter(), {}
+        keys = sorted(net)
+        added = tuple(dict(rows[key]) for key in keys for _ in range(net[key]))
+        removed = tuple(dict(rows[key]) for key in keys for _ in range(-net[key]))
+        return added, removed
+
+    def _count(self, rows, sign: int) -> None:
+        for row in rows:
+            key = _row_key(row)
+            self._net[key] += sign
+            self._net_rows.setdefault(key, row)
+
+    def _fold_touched(self) -> None:
+        """Move each touched unit's before/after rows into the net change."""
+        maintainer = self._maintainer
+        for unit, before in self._touched.items():
+            after = maintainer.unit_row(unit)
+            if before != after:
+                if before is not None:
+                    self._count((before,), -1)
+                if after is not None:
+                    self._count((after,), 1)
+        self._touched.clear()
 
     # ------------------------------------------------------------------
     def to_document(self, doc_id: str) -> Document:
@@ -281,21 +313,15 @@ class MaterializedQuery:
 class MaterializationManager:
     """Registry riding the appliance invalidation bus.
 
-    Pre-cache-hierarchy this class kept a private fan-out hooked straight
-    into ``DocumentStore.put_listeners``; it now subscribes to the shared
-    :class:`~repro.cache.bus.InvalidationBus` like every other cache tier
-    (:meth:`attach_to_store` remains as a shim that builds a private bus
-    for standalone use), consuming the bus's delta stream so maintainable
-    views update in O(changed documents).  Node events — chaos
-    crash/corrupt/partition — dirty every materialization, because a
-    refresh may now read different replicas than the cached rows did.
+    It subscribes to the shared :class:`~repro.cache.bus.InvalidationBus`
+    like every other cache tier, consuming the bus's delta stream so
+    maintainable views update in O(changed documents).  Node events —
+    chaos crash/corrupt/partition — dirty every materialization, because
+    a refresh may now read different replicas than the cached rows did.
     """
 
-    def __init__(self, engine: QueryEngine, *, incremental: bool = True) -> None:
+    def __init__(self, engine: QueryEngine) -> None:
         self.engine = engine
-        #: Default for newly defined views; flip off to pin the PR 4
-        #: refresh-only behavior appliance-wide (benchmark baseline).
-        self.incremental = incremental
         self._materializations: Dict[str, MaterializedQuery] = {}
         self._bus: Optional[InvalidationBus] = None
 
@@ -303,17 +329,11 @@ class MaterializationManager:
     def epoch(self) -> int:
         return self._bus.epoch if self._bus is not None else 0
 
-    def define(
-        self, name: str, sql: str, *, incremental: Optional[bool] = None
-    ) -> MaterializedQuery:
+    def define(self, name: str, sql: str) -> MaterializedQuery:
         if name in self._materializations:
             raise ValueError(f"materialization {name!r} already defined")
         materialized = MaterializedQuery(
-            name,
-            sql,
-            self.engine,
-            incremental=self.incremental if incremental is None else incremental,
-            epoch_source=lambda: self.epoch,
+            name, sql, self.engine, epoch_source=lambda: self.epoch
         )
         self._materializations[name] = materialized
         return materialized
@@ -332,31 +352,16 @@ class MaterializationManager:
         for materialized in self._materializations.values():
             materialized.apply_changes(changeset)
 
-    def on_put(self, document: Document, address=None) -> None:
-        """Legacy fan-out of a single put (dependency invalidation only)."""
-        for materialized in self._materializations.values():
-            materialized.on_put(document, address)
-
     def on_node_event(self, node_id: str, kind: str) -> None:
         """Chaos/topology change: all cached rows are suspect."""
         for materialized in self._materializations.values():
             materialized.on_node_event(node_id, kind)
 
-    def invalidate_all(self) -> None:
-        for materialized in self._materializations.values():
-            materialized.invalidate()
-
     def attach_to_bus(self, bus: InvalidationBus) -> None:
-        """Subscribe to the shared invalidation bus (the appliance way)."""
+        """Subscribe to the shared invalidation bus."""
         self._bus = bus
         bus.subscribe_deltas(self.on_changes)
         bus.subscribe_node_events(self.on_node_event)
-
-    def attach_to_store(self, store) -> None:
-        """Standalone shim: bridge one store through a private bus."""
-        bus = InvalidationBus()
-        bus.attach_store(store)
-        self.attach_to_bus(bus)
 
     def refresh_all(self) -> int:
         """Bring every stale view current (full refresh or delta fold);

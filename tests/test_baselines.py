@@ -162,6 +162,26 @@ class TestImplianceAdapter:
         assert report.admin_actions <= 2
 
 
+class TestBatteryStoreFailures:
+    def test_refused_items_are_counted_by_class(self):
+        class NoEmail(FileStore):
+            def store(self, item):
+                if item.fmt == "email":
+                    raise UnicodeError("mailbox codec missing")
+                super().store(item)
+
+        report = run_battery(NoEmail())
+        assert report.store_failures == {"UnicodeError": 1}
+        outcome = report.outcome("store_all_formats")
+        assert outcome.correct is False
+        assert outcome.detail == "11/12 stored; failed: UnicodeError x1"
+
+    def test_clean_load_has_no_failures(self):
+        report = run_battery(FileStore())
+        assert report.store_failures == {}
+        assert report.outcome("store_all_formats").detail == "12/12 stored"
+
+
 class TestBatteryScoring:
     @pytest.fixture(scope="class")
     def reports(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.bus import InvalidationBus
 from repro.model.converters import from_relational_row
 from repro.model.document import DocumentKind
 from repro.model.views import base_table_view
@@ -23,8 +24,10 @@ def setup():
             {"oid": i, "region": "east" if i % 2 else "west", "amount": float(i)},
         ))
     engine = QueryEngine(repo)
+    bus = InvalidationBus()
+    bus.attach_store(store)
     manager = MaterializationManager(engine)
-    manager.attach_to_store(store)
+    manager.attach_to_bus(bus)
     return store, engine, manager
 
 
@@ -177,18 +180,37 @@ class TestLostInvalidation:
         assert east == sum(float(i) for i in range(20) if i % 2) + 42.0
         assert mv.is_fresh
 
+    def test_failed_refresh_leaves_the_view_stale(self, setup):
+        store, engine, manager = setup
+        mv = manager.define("by_region", SQL + " LIMIT 10")  # engine-answered
+        mv.rows()
+        store.put(from_relational_row(
+            "o-late", "orders", {"oid": 600, "region": "east", "amount": 42.0}))
+
+        class Broken:
+            def sql(self, sql):
+                raise RuntimeError("engine down")
+
+        mv.engine = Broken()
+        with pytest.raises(RuntimeError):
+            mv.rows()
+        assert not mv.is_fresh
+        mv.engine = engine
+        east = next(r["total"] for r in mv.rows() if r["region"] == "east")
+        assert east == sum(float(i) for i in range(20) if i % 2) + 42.0
+
     def test_persisting_own_state_does_not_self_invalidate(self, setup):
         store, engine, manager = setup
         # a materialization whose own persisted table is (pathologically)
         # in its dependency set: the materialization-metadata exemption is
-        # what keeps it from staying dirty forever.  Pinned to the
-        # refresh-only path: this exercises table-level dependency
+        # what keeps it from staying dirty forever.  LIMIT keeps it off
+        # the maintainer: this exercises table-level dependency
         # invalidation, which the incremental maintainer deliberately
         # narrows (a write the view cannot see leaves it fresh).
-        mv = manager.define("by_region", SQL, incremental=False)
+        mv = manager.define("by_region", SQL + " LIMIT 10")
         mv._dependencies = mv._dependencies | {"mv_by_region"}
         mv.rows()
-        assert mv.is_fresh
+        assert mv.is_fresh and not mv.is_maintainable
         store.put(mv.to_document("mv-doc-1"))
         assert mv.is_fresh  # own persist exempt
         # a put to the same table from anything else still invalidates
@@ -208,8 +230,6 @@ class TestManagerBus:
 
     def test_attach_to_shared_bus(self, setup):
         store, engine, _ = setup
-        from repro.cache.bus import InvalidationBus
-
         bus = InvalidationBus()
         manager = MaterializationManager(engine)
         manager.attach_to_bus(bus)

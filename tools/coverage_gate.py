@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Line-coverage gate for the invalidation/IVM core (``make coverage``).
 
-Runs the cache + materialization + IVM test files and fails when line
-coverage of ``repro.cache`` and ``repro.query.materialized`` /
-``repro.query.ivm`` drops below the floor — the delta machinery is the
-one place a silently untested branch turns into a stale answer.
+Runs the cache + materialization + IVM + standing-query test files and
+fails when line coverage of ``repro.cache`` and
+``repro.query.materialized`` / ``repro.query.ivm`` /
+``repro.query.continuous`` drops below the floor — the delta machinery
+is the one place a silently untested branch turns into a stale answer.
 
 Prefers ``pytest-cov`` when it is installed.  In minimal containers
 (no pytest-cov, no coverage.py) it falls back to the stdlib ``trace``
@@ -34,6 +35,7 @@ TARGET_FILES = [
     "src/repro/cache/resultcache.py",
     "src/repro/query/materialized.py",
     "src/repro/query/ivm.py",
+    "src/repro/query/continuous.py",
 ]
 
 #: The tests that exercise them.
@@ -43,6 +45,7 @@ TEST_FILES = [
     "tests/test_materialized.py",
     "tests/test_ivm.py",
     "tests/test_ivm_properties.py",
+    "tests/test_subscription_deltas.py",
 ]
 
 #: Fail-under floor (percent, across all target files combined).
@@ -70,6 +73,7 @@ def run_with_pytest_cov() -> int:
         "--cov=repro.cache",
         "--cov=repro.query.materialized",
         "--cov=repro.query.ivm",
+        "--cov=repro.query.continuous",
         f"--cov-fail-under={FLOOR}",
         *PYTEST_ARGS,
         *TEST_FILES,
