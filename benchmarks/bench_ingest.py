@@ -30,6 +30,7 @@ import pytest
 from repro.core import ApplianceConfig, Impliance
 from repro.ingest import IngestConfig
 from repro.model.document import Document
+from repro.model.values import ValueType, classify_value, iter_paths
 from repro.workloads.relational import RelationalWorkload
 
 from conftest import once, print_table
@@ -64,13 +65,34 @@ def make_app(bulk: bool = False) -> Impliance:
     return Impliance(ApplianceConfig())
 
 
+#: Index listeners that re-walked a document for its prose on the seed
+#: path: the home node's index manager and the global catalog.
+SEED_TEXT_WALKS = 2
+
+
+def seed_text(content) -> str:
+    """The seed ``Document.text``: a fresh walk of the content tree on
+    every call, keeping each TEXT/STRING string leaf (the same walk as
+    ``tests/oracle/text.py``)."""
+    return "\n".join(
+        value for _, value in iter_paths(content)
+        if isinstance(value, str)
+        and classify_value(value) in (ValueType.TEXT, ValueType.STRING)
+    )
+
+
 def seed_ingest(app: Impliance, document: Document) -> None:
     """The pre-pipeline per-document path: one routing round and one
     ``store.put`` per document, every maintenance stage fired reactively
     from the put listeners (per-node indexes, global catalog, discovery,
-    auto-views, cache invalidation — each walking the document itself)."""
+    auto-views, cache invalidation — each walking the document itself).
+
+    Stored documents now answer ``Document.text`` from their cached
+    projection, so the seed's per-listener prose walks are made here."""
     home, _ = app.cluster.ingest(document)
     assert home.store is not None
+    for _ in range(SEED_TEXT_WALKS):
+        seed_text(document.content)
 
 
 def fingerprint(app: Impliance) -> dict:

@@ -207,31 +207,11 @@ class ImplianceCluster:
         return live[stable_hash(doc_id, len(live))]
 
     def ingest(self, document: Document, after: float = 0.0) -> Tuple[SimNode, float]:
-        """Route and persist one document; returns (home node, finish time).
-
-        Persisting charges CPU at the home data node proportional to the
-        document's size; indexing happens through the node's own index
-        manager (incremental, Section 3.3).
-        """
-        home = self.home_of(document.doc_id)
-        assert home.store is not None
-        home.store.put(document)
-        cost = INGEST_CPU_MS_PER_KB * document.size_bytes() / 1024.0
-        finish = home.run(cost, after, label="ingest")
-        return home, finish
-
-    def ingest_many(self, documents: Sequence[Document]) -> float:
-        """Bulk ingest, document at a time; returns the makespan.
-
-        This is the *sequential* routing loop — each document is a full
-        scheduling round.  The staged pipeline uses :meth:`ingest_batch`
-        instead; this form remains as the per-document baseline.
-        """
-        finish = 0.0
-        for document in documents:
-            _, end = self.ingest(document)
-            finish = max(finish, end)
-        return finish
+        """Route and persist one document, a batch of one through
+        :meth:`ingest_batch`; returns (home node, finish time)."""
+        _, shares, finish = self.ingest_batch([document], after)
+        (node_id,) = shares
+        return self._nodes[node_id], finish
 
     def ingest_batch(
         self, documents: Sequence[Document], after: float = 0.0

@@ -119,6 +119,9 @@ class Impliance:
             batch_size=self.config.batch_size,
         )
         self.miner = PiggybackMiner()
+        # The staged write path every ingest entry point (a single document
+        # is a batch of one) and every discovery chunk commits through.
+        self.ingest_pipeline = IngestPipeline(self, self.config.ingest)
 
         annotators = default_annotators(
             products=self.config.product_lexicon,
@@ -127,7 +130,7 @@ class Impliance:
         )
         self.discovery = DiscoveryEngine(
             repository=self,
-            persist=self._persist_annotation,
+            persist=self.ingest_pipeline.commit,
             annotators=annotators,
             telemetry=self.telemetry,
         )
@@ -136,9 +139,6 @@ class Impliance:
             background_share=self.config.background_share,
         )
         self.upgrades = UpgradeEngine()
-        # The staged write path every public ingest entry point funnels
-        # through (a single document is a batch of one).
-        self.ingest_pipeline = IngestPipeline(self, self.config.ingest)
         # The serving layer: every session request runs through this
         # scheduler, which counts it per tenant and QoS tier
         # (docs/SERVING.md).
@@ -225,8 +225,8 @@ class Impliance:
         the discovery queue (annotations excluded there).
 
         This is the *reactive* maintenance path — direct store writes
-        (the failover promote's ``put_many``, annotation persistence)
-        land here.  While the staged pipeline commits a batch it performs
+        (the failover promote's ``put_many``, ``delete_document``) land
+        here.  While the staged pipeline commits a batch it performs
         each stage itself, exactly once per batch, so the listener stands
         down.
         """
@@ -281,13 +281,6 @@ class Impliance:
             elif not columns <= known:
                 known |= columns
                 self.views.replace(base_table_view(table, table, sorted(known)))
-
-    def _persist_annotation(self, document: Document) -> Document:
-        home, _ = self.cluster.ingest(document)
-        assert home.store is not None
-        # Head lookup goes through the version index, not the buffer
-        # pool — persisting must not generate page traffic of its own.
-        return home.store.versions.head(document.doc_id)
 
     def _next_id(self, prefix: str) -> str:
         gen = self._ids.get(prefix)

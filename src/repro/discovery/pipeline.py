@@ -24,7 +24,7 @@ from repro.model.schema import SchemaRegistry
 from repro.obs.telemetry import DISABLED, Telemetry
 from repro.util import IdGenerator
 
-#: Queue ids resolved per dequeue chunk inside a pass.
+#: Queue ids resolved per dequeue chunk inside a pass (one commit each).
 DRAIN_BATCH = 64
 
 
@@ -45,8 +45,9 @@ class DiscoveryEngine:
         Engine-protocol repository (indexes + lookup) whose join index
         receives discovered edges.
     persist:
-        Callable persisting a new annotation document (the appliance
-        routes it to storage + indexing).  Returns the stored document.
+        Callable committing a list of new annotation documents (the
+        appliance passes its ingest pipeline's ``commit``: one group
+        commit per call).  Returns the stored documents.
     annotators:
         The annotator suite to run.
     rules:
@@ -60,7 +61,7 @@ class DiscoveryEngine:
     def __init__(
         self,
         repository,
-        persist: Callable[[Document], Document],
+        persist: Callable[[Sequence[Document]], List[Document]],
         annotators: Sequence[Annotator],
         rules: Iterable[RelationshipRule] = (),
         entity_labels: Optional[Dict[str, str]] = None,
@@ -129,20 +130,17 @@ class DiscoveryEngine:
     def run_pass(self, budget: Optional[int] = None) -> int:
         """Process up to *budget* queued documents; returns how many.
 
-        The queue drains in dequeue batches (up to :data:`DRAIN_BATCH`
-        ids resolved against the repository per chunk) rather than one
-        pop per loop; processing order is unchanged.  One document's
-        processing: schema registration, every applicable annotator,
-        annotation persistence, entity resolution, and relationship
-        rules.
+        The queue drains in chunks of up to :data:`DRAIN_BATCH`
+        documents, each annotated, committed in one persister call, then
+        book-kept document by document in annotation-at-a-time order.
         """
         processed = 0
         with self.telemetry.span("discovery.pass") as span:
             while self._queue and (budget is None or processed < budget):
                 room = DRAIN_BATCH if budget is None else min(DRAIN_BATCH, budget - processed)
-                for document in self._dequeue_batch(room):
-                    self.process_document(document)
-                    processed += 1
+                chunk = self._dequeue_batch(room)
+                self._run_chunk(chunk)
+                processed += len(chunk)
             span.tag("processed", processed)
         if processed:
             self.stats.passes += 1
@@ -166,26 +164,58 @@ class DiscoveryEngine:
                 batch.append(document)
         return batch
 
-    def process_document(self, document: Document) -> List[Document]:
-        """Run the full discovery suite on one document; returns the
-        persisted annotation documents."""
-        with self.telemetry.span("discovery.doc", doc=document.doc_id) as span:
+    def _run_chunk(self, chunk: List[Document]) -> None:
+        """Annotate, commit and book-keep one dequeued chunk.
+
+        A commit that raises re-issues the chunk's ids and puts it back
+        at the front of the queue untouched.  A follow-up (relationship
+        rules, entity resolution) that raises after the commit does not
+        stop the rest of the chunk's bookkeeping.  Both count by class
+        and propagate.
+        """
+        issued = self._ids.issued
+        annotated = [(document, self.process_document(document)) for document in chunk]
+        pending = [
+            make_annotation_document(self._ids.next(), annotation)
+            for _, annotations in annotated for annotation in annotations
+        ]
+        if pending:
+            try:
+                self._persist(pending)
+            except Exception as exc:
+                self._ids.issued = issued
+                ids = [document.doc_id for document in chunk]
+                self._queue.extendleft(reversed(ids))
+                self._queued.update(ids)
+                self.telemetry.inc(f"discovery.persist_failed.{type(exc).__name__}")
+                raise
+        failure: Optional[Exception] = None
+        for document, annotations in annotated:
             self.schema_registry.register(document)
             self._processed.add(document.vid)
-            persisted: List[Document] = []
-            for annotator in self.annotators:
-                if not annotator.applies_to(document):
-                    continue
-                for annotation in annotator.annotate(document):
-                    persisted.append(self._handle_annotation(annotation))
-            span.tag("annotations", len(persisted))
-        self.stats.docs_processed += 1
-        self.telemetry.inc("discovery.docs_processed")
-        return persisted
+            for annotation in annotations:
+                try:
+                    self._handle_annotation(annotation)
+                except Exception as exc:
+                    self.telemetry.inc(f"discovery.followup_failed.{type(exc).__name__}")
+                    failure = failure or exc
+            self.stats.docs_processed += 1
+            self.telemetry.inc("discovery.docs_processed")
+        if failure is not None:
+            raise failure
 
-    def _handle_annotation(self, annotation: Annotation) -> Document:
-        ann_doc = make_annotation_document(self._ids.next(), annotation)
-        stored = self._persist(ann_doc)
+    def process_document(self, document: Document) -> List[Annotation]:
+        """Run every applicable annotator over one document; returns the
+        annotations, in annotator order (nothing is persisted here)."""
+        with self.telemetry.span("discovery.doc", doc=document.doc_id) as span:
+            annotations: List[Annotation] = []
+            for annotator in self.annotators:
+                if annotator.applies_to(document):
+                    annotations.extend(annotator.annotate(document))
+            span.tag("annotations", len(annotations))
+        return annotations
+
+    def _handle_annotation(self, annotation: Annotation) -> None:
         self.stats.annotations_created += 1
         self.telemetry.inc("discovery.annotations")
 
@@ -207,7 +237,6 @@ class DiscoveryEngine:
                 self.stats.edges_added += len(co_edges)
                 if co_edges:
                     self.telemetry.inc("discovery.edges", len(co_edges))
-        return stored
 
     # ------------------------------------------------------------------
     def drain(self, batch: int = 64) -> int:

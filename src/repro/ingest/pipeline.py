@@ -122,6 +122,15 @@ class IngestPipeline:
                 stored.extend(self._flush_batch())
         return stored
 
+    def commit(self, documents: Sequence[Document]) -> List[Document]:
+        """Validate *documents*, then commit them as one group commit
+        however many there are — discovery's chunk commit: one epoch and
+        at most one standby shipment per node.  A validation error
+        commits nothing."""
+        for document in documents:
+            projection_of(document)
+        return self._commit_batch(list(documents))
+
     def run_stream(self, documents: Iterable[Document]) -> IngestReport:
         """Ingest a stream under the configured admission policy.
 

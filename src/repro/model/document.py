@@ -16,13 +16,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
-from repro.model.values import (
-    Path,
-    extract_text,
-    get_path,
-    iter_paths,
-    iter_structure_paths,
-)
+from repro.model.projection import projection_of
+from repro.model.values import Path, get_path, iter_paths, iter_structure_paths
 
 
 class DocumentKind(enum.Enum):
@@ -114,8 +109,8 @@ class Document:
 
     @property
     def text(self) -> str:
-        """The document's searchable prose projection."""
-        return extract_text(self.content)
+        """The searchable prose, off the cached projection (no re-walk)."""
+        return projection_of(self).text
 
     @property
     def is_annotation(self) -> bool:

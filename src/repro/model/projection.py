@@ -1,7 +1,7 @@
 """The document projection: one walk, every index-facing view.
 
 The document-at-a-time write path recomputes the same derived views of a
-document over and over: ``extract_text`` walks the content tree and
+document over and over: the prose text walks the content tree and
 classifies every leaf, ``ValueIndex.add`` walks and classifies again,
 ``StructuralIndex.add`` walks a third time — and because every data node
 *and* the global catalog maintain their own indexes, each walk happens
@@ -54,7 +54,7 @@ class DocumentProjection:
         The full structural path set — interior and leaf paths — exactly
         as :meth:`Document.structure` reports it.
     text:
-        The searchable prose projection (``extract_text`` equivalent).
+        The searchable prose projection (:attr:`Document.text`).
     term_positions:
         Positional postings of :attr:`text`, term → positions, in first-
         occurrence order (what the inverted index stores per document).
@@ -80,7 +80,7 @@ def _project_content(content: Any) -> DocumentProjection:
     structure: set = set()
 
     # One walk replacing iter_paths + iter_structure_paths + the leaf
-    # re-walks of extract_text and ValueIndex.add.  Leaf order matches
+    # re-walks of the prose text and ValueIndex.add.  Leaf order matches
     # iter_paths (dict insertion order, lists flattened in place).
     def walk(node: Any, prefix: Path) -> None:
         if prefix:

@@ -190,16 +190,3 @@ def string_to_path(text: str) -> Path:
     if not stripped:
         return ()
     return tuple(stripped.split("/"))
-
-
-def extract_text(content: Any) -> str:
-    """Concatenate every TEXT-classified leaf of *content*, in path order.
-
-    This is the document's searchable prose: full-text indexing and the
-    annotators run over this projection.
-    """
-    pieces = []
-    for _, value in iter_paths(content):
-        if isinstance(value, str) and classify_value(value) in (ValueType.TEXT, ValueType.STRING):
-            pieces.append(value)
-    return "\n".join(pieces)

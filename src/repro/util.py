@@ -9,7 +9,6 @@ repeatable run-to-run.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from typing import Iterator, Sequence
 
 
@@ -41,17 +40,19 @@ class IdGenerator:
     """Deterministic, prefixed, collision-free id sequences.
 
     ``IdGenerator("doc")`` yields ``doc-000001``, ``doc-000002``, ...
-    Deterministic ids keep every experiment reproducible.
+    Deterministic ids keep every experiment reproducible.  ``issued``
+    counts the ids handed out; set it back to re-issue the ones after.
     """
 
     def __init__(self, prefix: str) -> None:
         if not prefix:
             raise ValueError("prefix must be non-empty")
         self.prefix = prefix
-        self._counter = itertools.count(1)
+        self.issued = 0
 
     def next(self) -> str:
-        return f"{self.prefix}-{next(self._counter):06d}"
+        self.issued += 1
+        return f"{self.prefix}-{self.issued:06d}"
 
     def __iter__(self) -> Iterator[str]:
         while True:

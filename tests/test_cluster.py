@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.groups import ConsistencyGroup, LockConflictError
 from repro.cluster.network import Network
 from repro.cluster.node import NodeKind, OPERATOR_AFFINITY, SimNode
-from repro.cluster.topology import ImplianceCluster
+from repro.cluster.topology import INGEST_CPU_MS_PER_KB, ImplianceCluster
 from repro.model.converters import from_text
 
 
@@ -172,6 +172,17 @@ class TestImplianceCluster:
         counts = [n.store.doc_count for n in cluster.data_nodes]
         assert all(c > 0 for c in counts)
         assert sum(counts) == 100
+
+    def test_ingest_charges_the_stored_size(self):
+        document = from_text("d1", "one document, charged as stored")
+        cluster = ImplianceCluster(n_data=1)
+        cluster.clock.observe(12_344)
+        cluster.ingest(document)
+        stored = cluster.lookup("d1")
+        assert 10_000 <= stored.ingest_ts < 100_000  # five digits, not "0"
+        assert stored.size_bytes() == document.size_bytes() + 4
+        expected = INGEST_CPU_MS_PER_KB * stored.size_bytes() / 1024.0
+        assert cluster.data_nodes[0].busy_ms == expected
 
     def test_lookup_across_nodes(self):
         cluster = ImplianceCluster(n_data=3)

@@ -90,7 +90,7 @@ def discovery_setup():
     repo = LocalRepository(store)
     engine = DiscoveryEngine(
         repo,
-        persist=store.put,
+        persist=store.put_many,
         annotators=default_annotators(products=["WidgetPro", "GadgetMax"]),
         rules=[RelationshipRule("mentions", "product_mention", "product", ("products", "name"))],
     )

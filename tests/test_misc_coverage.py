@@ -33,11 +33,12 @@ class TestExecReport:
 
 
 class TestClusterExtras:
-    def test_ingest_many_makespan(self):
+    def test_ingest_batch_makespan(self):
         cluster = ImplianceCluster(n_data=2, n_grid=1)
         docs = [from_text(f"d{i}", "x" * 50) for i in range(10)]
-        makespan = cluster.ingest_many(docs)
+        _, _, makespan = cluster.ingest_batch(docs)
         assert makespan > 0
+        assert makespan == cluster.makespan()
         assert cluster.doc_count == 10
 
     def test_reset_clears_network_stats(self):

@@ -6,13 +6,13 @@ from repro.model.values import (
     ValueType,
     classify_value,
     coerce_numeric,
-    extract_text,
     get_path,
     iter_paths,
     iter_structure_paths,
     path_to_string,
     string_to_path,
 )
+from tests.oracle.text import extract_text
 
 
 class TestClassifyValue:
