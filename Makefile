@@ -86,8 +86,9 @@ e2e-smoke:
 perf-regress:
 	$(PYTHON) tools/perf_regress.py
 
-# Line-coverage floor on the invalidation/IVM core (repro.cache,
-# repro.query.materialized, repro.query.ivm, repro.query.continuous).
+# Line-coverage floor on the change feed and its consumers (repro.cache,
+# repro.storage.bus, repro.ingest.pipeline, repro.query.materialized,
+# repro.query.ivm, repro.query.continuous).
 # Uses pytest-cov when installed; stdlib trace fallback otherwise.
 coverage:
 	$(PYTHON) tools/coverage_gate.py

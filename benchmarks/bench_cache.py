@@ -110,7 +110,7 @@ def run_comparison(n_orders: int = N_ORDERS, n_ops: int = N_OPS) -> dict:
 
     cached_store = build_store(n_orders)
     caches = CacheHierarchy(CacheConfig())
-    caches.attach_to_store(cached_store)
+    caches.attach_to_bus(cached_store.feed)
     cached_engine = QueryEngine(make_repo(cached_store), cache=caches)
     cached = run_side(cached_engine, cached_store, steps)
 

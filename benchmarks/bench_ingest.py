@@ -62,7 +62,22 @@ def make_app(bulk: bool = False) -> Impliance:
     # observability cost is part of what group commit amortizes.
     if bulk:
         return Impliance(ApplianceConfig(ingest=IngestConfig(batch_size=BULK_BATCH)))
-    return Impliance(ApplianceConfig())
+    app = Impliance(ApplianceConfig())
+    # The seed's index listeners indexed each document by itself, walking
+    # it (``index_document``); the change feed hands even a single
+    # document to ``index_batch``, which reads the cached projection.
+    for manager in [app.indexes] + [node.indexes for node in app.cluster.data_nodes]:
+        manager.index_batch = _document_at_a_time(manager)
+    return app
+
+
+def _document_at_a_time(manager):
+    def index_batch(documents):
+        for document in documents:
+            manager.index_document(document)
+        return len(documents)
+
+    return index_batch
 
 
 #: Index listeners that re-walked a document for its prose on the seed
@@ -83,9 +98,10 @@ def seed_text(content) -> str:
 
 def seed_ingest(app: Impliance, document: Document) -> None:
     """The pre-pipeline per-document path: one routing round and one
-    ``store.put`` per document, every maintenance stage fired reactively
-    from the put listeners (per-node indexes, global catalog, discovery,
-    auto-views, cache invalidation — each walking the document itself).
+    ``store.put`` per document, every maintenance stage fired from that
+    commit (per-node indexes, global catalog, discovery, auto-views,
+    cache invalidation — the indexes walking the document themselves,
+    see :func:`make_app`).
 
     Stored documents now answer ``Document.text`` from their cached
     projection, so the seed's per-listener prose walks are made here."""

@@ -28,7 +28,6 @@ import time
 
 import pytest
 
-from repro.cache.bus import InvalidationBus
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
 from repro.query.engine import LocalRepository, QueryEngine
@@ -64,8 +63,7 @@ def build_side(n_orders: int):
         ))
     repo = LocalRepository(store)
     repo.views.define(base_table_view("orders", "orders", ["oid", "cid", "amount"]))
-    bus = InvalidationBus()
-    bus.attach_store(store)
+    bus = store.feed
     return store, bus, QueryEngine(repo)
 
 

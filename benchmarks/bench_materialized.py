@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from repro.cache.bus import InvalidationBus
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
 from repro.query.engine import LocalRepository, QueryEngine
@@ -33,8 +32,7 @@ def build(n_orders=1500):
     for doc in RelationalWorkload(n_customers=30, n_orders=n_orders, seed=7).documents():
         store.put(doc)
     engine = QueryEngine(repo)
-    bus = InvalidationBus()
-    bus.attach_store(store)
+    bus = store.feed
     manager = MaterializationManager(engine)
     manager.attach_to_bus(bus)
     return store, engine, manager

@@ -10,17 +10,17 @@ concrete for query-side derived state:
 * :class:`ResultCache` — query results keyed by plan fingerprint, each
   entry carrying the ``base_views()`` dependency set of its query;
 * :class:`IndexProbeMemo` — memoized hot index probes for indexed-NL
-  joins;
-* :class:`InvalidationBus` — the one event spine all tiers (and the
-  materialization manager) subscribe to: document-store puts invalidate
-  by dependency, chaos/topology events flush wholesale so degraded
-  state is never served as fresh.
+  joins.
+
+Every tier listens to the change feed
+(:class:`repro.storage.bus.InvalidationBus`): commits invalidate by
+dependency, chaos/topology events flush wholesale so degraded state is
+never served as fresh.
 
 :class:`CacheHierarchy` bundles the tiers behind one handle the facade
 owns; :class:`CacheConfig` is the ``ApplianceConfig(cache=...)`` knob.
 """
 
-from repro.cache.bus import ChangeSet, DocumentChange, InvalidationBus
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.plancache import PlanCache, normalize_sql
@@ -31,10 +31,7 @@ __all__ = [
     "CacheConfig",
     "CacheHierarchy",
     "CachedResult",
-    "ChangeSet",
-    "DocumentChange",
     "IndexProbeMemo",
-    "InvalidationBus",
     "PlanCache",
     "ResultCache",
     "normalize_sql",

@@ -1,7 +1,7 @@
 """The cache hierarchy: every tier behind one appliance-owned handle.
 
 The facade constructs one :class:`CacheHierarchy` per appliance, attaches
-every data node's store to its :class:`~repro.cache.bus.InvalidationBus`,
+it to the cluster's change feed (:class:`~repro.storage.bus.InvalidationBus`)
 and hands the hierarchy to the query engine.  Wiring rules:
 
 * puts invalidate by dependency — result entries whose ``base_views()``
@@ -23,27 +23,21 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.cache.bus import InvalidationBus
 from repro.cache.config import CacheConfig
 from repro.cache.plancache import PlanCache
 from repro.cache.probememo import IndexProbeMemo
 from repro.cache.resultcache import ResultCache
+from repro.storage.bus import InvalidationBus
 
 
 class CacheHierarchy:
     """Plan cache + result cache + probe memo on one invalidation bus."""
 
-    def __init__(
-        self,
-        config: Optional[CacheConfig] = None,
-        telemetry=None,
-        bus: Optional[InvalidationBus] = None,
-    ) -> None:
+    def __init__(self, config: Optional[CacheConfig] = None, telemetry=None) -> None:
         self.config = config if config is not None else CacheConfig()
         # None-guarded (not the DISABLED singleton): cache lookups sit on
         # the hottest query path, mirroring the per-node IndexManager rule.
         self.telemetry = telemetry if (telemetry is not None and telemetry.enabled) else None
-        self.bus = bus if bus is not None else InvalidationBus()
         self.plans = PlanCache(self.config.plan_entries, telemetry=self.telemetry)
         self.results = ResultCache(
             self.config.result_entries,
@@ -55,8 +49,9 @@ class CacheHierarchy:
         #: ``missing_segments() == 0`` so degraded answers are never
         #: cached.  None admits everything (standalone engines).
         self.admit_results: Optional[Callable[[], bool]] = None
-        self.bus.subscribe_deltas(self._on_changes)
-        self.bus.subscribe_node_events(self._on_node_event)
+        # A standalone hierarchy listens to a private bus of its own until
+        # it is attached to a change feed.
+        self.attach_to_bus(InvalidationBus())
 
     # ------------------------------------------------------------------
     @property
@@ -67,9 +62,12 @@ class CacheHierarchy:
     def epoch(self) -> int:
         return self.bus.epoch
 
-    def attach_to_store(self, store) -> None:
-        """Subscribe the bus to one document store's put stream."""
-        self.bus.attach_store(store)
+    def attach_to_bus(self, bus: InvalidationBus) -> None:
+        """Listen to *bus* (a store's or the cluster's change feed); its
+        epoch becomes the one plan entries are stamped with."""
+        self.bus = bus
+        bus.subscribe_deltas(self._on_changes)
+        bus.subscribe_node_events(self._on_node_event)
 
     def can_admit_results(self) -> bool:
         return self.admit_results is None or self.admit_results()
@@ -104,7 +102,7 @@ class CacheHierarchy:
         self.probes.flush()
 
     def on_catalog_change(self) -> None:
-        """A view was defined or replaced outside the put stream."""
+        """A view was defined or replaced outside the change feed."""
         self.bus.publish_node_event("catalog", "catalog")
 
     # ------------------------------------------------------------------

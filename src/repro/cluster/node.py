@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.index.manager import IndexManager
+from repro.storage.bus import InvalidationBus
 from repro.storage.store import DocumentStore
 from repro.util import LogicalClock
 
@@ -88,6 +89,7 @@ class SimNode:
         speed: Optional[float] = None,
         store_clock: Optional[LogicalClock] = None,
         buffer_capacity: int = 256,
+        feed: Optional[InvalidationBus] = None,
     ) -> None:
         if speed is not None and speed <= 0:
             raise ValueError("speed must be positive")
@@ -103,12 +105,17 @@ class SimNode:
         # observability overhead; the cluster attaches an enabled
         # Telemetry here (see ImplianceCluster.attach_telemetry).
         self.telemetry = None
-        # Data nodes own a store + local indexes; others have none.
+        # Data nodes own a store + local indexes; others have none.  The
+        # store publishes its commits on *feed* under this node's id; the
+        # cluster keeps the local indexes current from that feed.
         self.store: Optional[DocumentStore] = None
         self.indexes: Optional[IndexManager] = None
         if kind is NodeKind.DATA:
-            self.store = DocumentStore(clock=store_clock, buffer_capacity=buffer_capacity)
-            self.indexes = IndexManager(self.store)
+            self.store = DocumentStore(
+                clock=store_clock, buffer_capacity=buffer_capacity, feed=feed,
+                node_id=node_id,
+            )
+            self.indexes = IndexManager()
 
     # ------------------------------------------------------------------
     def efficiency(self, operator: str) -> float:

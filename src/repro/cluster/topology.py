@@ -18,6 +18,7 @@ from repro.cluster.groups import ConsistencyGroup
 from repro.cluster.network import Network
 from repro.cluster.node import NodeKind, SimNode
 from repro.model.document import Document
+from repro.storage.bus import ChangeSet, InvalidationBus
 from repro.util import LogicalClock, stable_hash
 
 #: Simulated CPU cost to persist one KB at a data node.
@@ -52,6 +53,10 @@ class ImplianceCluster:
         Shared interconnect model (a default is built when omitted).
     buffer_capacity:
         Buffer-pool frames per data node.
+
+    Every data node's store publishes its commits on the cluster's one
+    change :attr:`feed`; the cluster subscribes its node indexes to it
+    first, so they are current whoever else listens.
     """
 
     def __init__(
@@ -68,13 +73,15 @@ class ImplianceCluster:
             raise ValueError("a cluster needs at least one cluster node")
         self.network = network if network is not None else Network()
         self.clock = LogicalClock()
+        self.feed = InvalidationBus()
+        self.feed.subscribe_deltas(self.index_commit)
         self._nodes: Dict[str, SimNode] = {}
         self._generation = 0
         self._buffer_capacity = buffer_capacity
         self._telemetry = None
         for i in range(n_data):
             self._add(SimNode(f"data-{i}", NodeKind.DATA, store_clock=self.clock,
-                              buffer_capacity=buffer_capacity))
+                              buffer_capacity=buffer_capacity, feed=self.feed))
         for i in range(n_grid):
             self._add(SimNode(f"grid-{i}", NodeKind.GRID))
         for i in range(n_cluster):
@@ -107,6 +114,7 @@ class ImplianceCluster:
             kind,
             store_clock=self.clock if kind is NodeKind.DATA else None,
             buffer_capacity=self._buffer_capacity,
+            feed=self.feed,
         )
         self._add(node)
         if self._telemetry is not None:
@@ -258,6 +266,18 @@ class ImplianceCluster:
             )
             finish = max(finish, node.run(cost, after, label="ingest-batch"))
         return stamped, shares, finish
+
+    def index_commit(self, changeset: ChangeSet) -> None:
+        """Feed stage one: index each change on the data node whose store
+        committed it (that node's current index, so a readmitted node's
+        fresh index is the one maintained)."""
+        shares: Dict[Optional[str], List[Document]] = {}
+        for change in changeset:
+            shares.setdefault(change.node_id, []).append(change.document)
+        for node_id, documents in shares.items():
+            node = self._nodes.get(node_id)
+            if node is not None and node.indexes is not None:
+                node.indexes.index_batch(documents)
 
     def lookup(self, doc_id: str) -> Optional[Document]:
         """Cluster-wide point lookup of the latest *live* version (a

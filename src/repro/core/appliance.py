@@ -74,10 +74,6 @@ class Impliance:
         self.config = config if config is not None else ApplianceConfig()
         # Observability first: every other subsystem threads through it.
         self.telemetry = Telemetry(enabled=self.config.telemetry)
-        # True while the staged pipeline is committing a batch — the
-        # reactive store listeners stand down so each maintenance stage
-        # runs exactly once per document (see repro.ingest.pipeline).
-        self._pipeline_active = False
         self.cluster = ImplianceCluster(
             n_data=self.config.n_data_nodes,
             n_grid=self.config.n_grid_nodes,
@@ -97,10 +93,10 @@ class Impliance:
         )
         self.views = ViewCatalog()
         # The cache hierarchy sits between the engine and everything that
-        # can change an answer: every data node's put stream and every
-        # chaos/topology event flow into its invalidation bus, and results
-        # are only admitted while no storage segment is missing (a
-        # degraded answer must never outlive the degradation).
+        # can change an answer: every commit and every chaos/topology
+        # event reach it on the cluster's change feed, and results are
+        # only admitted while no storage segment is missing (a degraded
+        # answer must never outlive the degradation).
         self.caches = CacheHierarchy(self.config.cache, telemetry=self.telemetry)
         self.caches.admit_results = lambda: self.missing_segments() == 0
         self.engine = QueryEngine(
@@ -110,9 +106,7 @@ class Impliance:
             cache=self.caches,
             adaptive_config=self.config.adaptive,
         )
-        # Materializations ride the same bus as the query caches.
         self.materializations = MaterializationManager(self.engine)
-        self.materializations.attach_to_bus(self.caches.bus)
         self.executor = ParallelExecutor(
             self.cluster,
             telemetry=self.telemetry,
@@ -148,22 +142,19 @@ class Impliance:
         # Standing queries: result deltas pushed per invalidation epoch,
         # delivered through the scheduler as discovery-tier work.
         self.subscriptions = SubscriptionManager(self)
-        self.subscriptions.attach_to_bus(self.caches.bus)
         self._default_session: Optional[Session] = None
         self._session_count = 0
 
         # Continuous replication: every group commit published on the
-        # bus is shipped to a per-data-node standby log on a cluster
+        # feed is shipped to a per-data-node standby log on a cluster
         # node, and a crashed node's standby is promoted onto the
         # survivors as snapshot + log replay (docs/RECOVERY.md).
-        # Subscribed after the cache/view tiers: shipping is passive and
-        # must not observe half-invalidated state.
         self.recovery = ContinuousReplicator(
             self.cluster,
             config=self.config.recovery,
             telemetry=self.telemetry if self.telemetry.enabled else None,
         )
-        self.recovery.attach_to_bus(self.caches.bus)
+        self._subscribe_to_feed()
 
         # Per-data-node storage managers + a miner on each buffer pool.
         # One shared cold-path compressor: the key dictionary is learned
@@ -187,7 +178,7 @@ class Impliance:
                     compressor=self.compressor,
                 )
             )
-            self._attach_store(node.store)
+            self.miner.attach(node.store.buffer_pool)
 
         self._ids: Dict[str, IdGenerator] = {}
         self._auto_views: Dict[str, Set[str]] = {}
@@ -220,35 +211,35 @@ class Impliance:
     # ------------------------------------------------------------------
     # internal wiring
     # ------------------------------------------------------------------
-    def _on_any_put_batch(self, pairs) -> None:
-        """Every persisted document updates the global catalog and joins
-        the discovery queue (annotations excluded there).
+    def _subscribe_to_feed(self) -> None:
+        """The one place derived state subscribes to the change feed.
 
-        This is the *reactive* maintenance path — direct store writes
-        (the failover promote's ``put_many``, ``delete_document``) land
-        here.  While the staged pipeline commits a batch it performs
-        each stage itself, exactly once per batch, so the listener stands
-        down.
+        Every commit — ingest, discovery's annotation commits, updates,
+        deletes, failover's promote — reaches, in this order: the node
+        indexes (the cluster subscribed them when it was built), then the
+        global index, the auto views and the discovery queue
+        (:meth:`_on_commit`), the caches, IVM, standing queries and, last,
+        the standby log.  Caches invalidate before the incremental
+        consumers run, so a maintainer or standing query that recomputes
+        through the engine is never served a result cached against the
+        previous epoch; shipping is passive and sees the commit last.
         """
-        if self._pipeline_active:
-            return
-        for document, _address in pairs:
-            if document.is_tombstone:
-                # A delete: drop the document from every index; discovery
-                # and view growth have nothing to learn from a tombstone.
-                self.indexes.unindex(document.doc_id)
-                continue
-            self.indexes.index_document(document)
-            self.discovery.enqueue(document)
-            if document.metadata.get("table"):
-                self._maintain_auto_views((document,))
+        feed = self.cluster.feed
+        feed.subscribe_deltas(self._on_commit)
+        self.caches.attach_to_bus(feed)
+        self.materializations.attach_to_bus(feed)
+        self.subscriptions.attach_to_bus(feed)
+        self.recovery.attach_to_bus(feed)
 
-    def _attach_store(self, store: DocumentStore) -> None:
-        """The appliance listeners on a data node's store: the piggyback
-        miner, the reactive catalog/discovery path, and the cache bus."""
-        self.miner.attach(store.buffer_pool)
-        store.batch_put_listeners.append(self._on_any_put_batch)
-        self.caches.attach_to_store(store)
+    def _on_commit(self, changeset) -> None:
+        """Feed stages two to four: the global index takes the whole
+        change set (tombstones unindex), the auto views grow and the
+        discovery queue takes the live documents, in commit order."""
+        documents = changeset.documents
+        self.indexes.index_batch(documents)
+        live = [document for document in documents if not document.is_tombstone]
+        self._maintain_auto_views(live)
+        self.discovery.enqueue_many(live)
 
     def _maintain_auto_views(self, documents: Sequence[Document]) -> None:
         """Auto-define/extend the identity views of tabular documents —
@@ -458,7 +449,7 @@ class Impliance:
         """Delete *doc_id* by appending a tombstone version (Section 4:
         never in place — history and snapshots survive).
 
-        The tombstone flows down the invalidation bus as a delete change:
+        The tombstone flows down the change feed as a delete change:
         indexes drop the document, materialized views subtract its rows
         incrementally, subscriptions see it leave their results, and
         ``lookup``/scans answer as if it were never stored.  Returns the
@@ -756,8 +747,9 @@ class Impliance:
 
         A dead data node is readmitted *empty*: its chains were promoted
         onto the survivors when it failed, so it gets a fresh store and
-        node index, its storage manager and the appliance listeners
-        rebind to them, and its standby re-bases on the empty store
+        node index (the store publishes on the same feed under the same
+        node id), its storage manager and the piggyback miner rebind to
+        them, and its standby re-bases on the empty store
         (:meth:`ContinuousReplicator.resync`).  New data routes to it from
         then on, and the storage managers drain replica deficits onto the
         returned capacity.  Returns the number of repair actions taken.
@@ -778,7 +770,7 @@ class Impliance:
 
     def _fresh_store(self, node) -> None:
         """Swap an empty store and node index into the dead data node
-        *node*, and rebind its storage manager and listeners to them.
+        *node*, and rebind its storage manager and the miner to them.
 
         The fresh store re-allocates segment ids from zero, so the
         manager gets a fresh replica placement over every data node, the
@@ -786,10 +778,13 @@ class Impliance:
         """
         manager = next(m for m in self._storage_managers if m.store is node.store)
         store = DocumentStore(
-            clock=self.cluster.clock, buffer_capacity=self.config.buffer_capacity
+            clock=self.cluster.clock,
+            buffer_capacity=self.config.buffer_capacity,
+            feed=self.cluster.feed,
+            node_id=node.node_id,
         )
         node.store = store
-        node.indexes = IndexManager(store)
+        node.indexes = IndexManager()
         data_nodes = self.cluster.nodes_of(NodeKind.DATA, alive_only=False)
         replicas = ReplicaManager(
             [n.node_id for n in data_nodes],
@@ -800,7 +795,7 @@ class Impliance:
             if not other.alive:
                 replicas.on_node_failure(other.node_id)
         manager.adopt_store(store, replicas)
-        self._attach_store(store)
+        self.miner.attach(store.buffer_pool)
 
     def restore(self, node_id: str) -> RestoreReport:
         """Readmit the failed data node *node_id*: exactly

@@ -26,7 +26,7 @@ from repro.index.facets import (
     source_format_facet,
 )
 from repro.index.joins import JoinEdge, JoinIndex
-from repro.index.manager import IndexManager, IndexManagerStats
+from repro.index.manager import IndexManager
 
 __all__ = [
     "BM25_B",
@@ -48,5 +48,4 @@ __all__ = [
     "JoinEdge",
     "JoinIndex",
     "IndexManager",
-    "IndexManagerStats",
 ]

@@ -1,18 +1,18 @@
 """Index manager: keeps every index current as documents arrive.
 
-Subscribes to the document store's put hook, so "this indexing need not
+An :class:`IndexManager` learns of writes from the change feed
+(:mod:`repro.storage.bus`): the appliance's global index and each data
+node's own index take one :meth:`IndexManager.index_batch` per published
+change set, upserts and tombstones together, so "this indexing need not
 take place as part of the same transaction that infused that document
-initially" (Section 3.2) — the manager can run in immediate mode (index
-on put) or deferred mode (queue and apply in batches from a background
-task), and the IDX experiment measures the difference against periodic
-full rebuilds.
+initially" (Section 3.2) and maintenance stays incremental (Section 3.3).
+:meth:`IndexManager.rebuild_from` is the periodic full-rebuild baseline
+the IDX experiment measures against.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from repro.index.facets import FacetDefinition, FacetIndex
 from repro.index.joins import JoinIndex
@@ -20,15 +20,7 @@ from repro.index.structural import StructuralIndex, ValueIndex
 from repro.index.text import InvertedIndex
 from repro.model.document import Document
 from repro.model.projection import projection_of
-from repro.storage.pages import PageAddress
 from repro.storage.store import DocumentStore
-
-
-@dataclass
-class IndexManagerStats:
-    indexed: int = 0
-    deferred: int = 0
-    batches_applied: int = 0
 
 
 class IndexManager:
@@ -36,62 +28,23 @@ class IndexManager:
 
     Parameters
     ----------
-    store:
-        The document store to attach to (may be ``None`` for standalone
-        index use; call :meth:`index_document` directly).
     facets:
         Facet definitions to maintain.
-    deferred:
-        When True, puts are queued and indexed by :meth:`apply_pending`
-        (a background-task budget decides when); when False, indexing is
-        synchronous with the put.
     """
 
     def __init__(
         self,
-        store: Optional[DocumentStore] = None,
         facets: Iterable[FacetDefinition] = (),
-        deferred: bool = False,
         telemetry=None,
     ) -> None:
         # Telemetry stays None-guarded (not the DISABLED singleton):
-        # per-node index managers are numerous and their put hook is hot.
+        # per-node index managers are numerous and sit on every commit.
         self.telemetry = telemetry
         self.text = InvertedIndex()
         self.structure = StructuralIndex()
         self.values = ValueIndex()
         self.facets = FacetIndex(facets)
         self.joins = JoinIndex()
-        self.deferred = deferred
-        self.stats = IndexManagerStats()
-        self._pending: Deque[Document] = deque()
-        self._store = store
-        if store is not None:
-            store.batch_put_listeners.append(self._on_put_batch)
-
-    # ------------------------------------------------------------------
-    def _on_put(self, document: Document, address: PageAddress) -> None:
-        if self.deferred:
-            self._pending.append(document)
-            self.stats.deferred += 1
-        else:
-            self.index_document(document)
-
-    def _on_put_batch(self, pairs: List[Tuple[Document, PageAddress]]) -> None:
-        """Store hook: one call per group commit.
-
-        A batch of one is the reactive document-at-a-time path and is
-        indexed exactly as before; a real batch takes the bulk path,
-        where every index reuses the shared model projection.
-        """
-        if self.deferred:
-            for document, _ in pairs:
-                self._pending.append(document)
-            self.stats.deferred += len(pairs)
-        elif len(pairs) == 1:
-            self.index_document(pairs[0][0])
-        else:
-            self.index_batch([document for document, _ in pairs])
 
     def index_document(self, document: Document) -> None:
         """(Re-)index one document version across all indexes.
@@ -108,7 +61,6 @@ class IndexManager:
         self.structure.add(document)
         self.values.add(document)
         self.facets.add(document)
-        self.stats.indexed += 1
         if self.telemetry is not None:
             self.telemetry.inc("index.documents_indexed")
 
@@ -158,48 +110,16 @@ class IndexManager:
         for document, projection in zip(documents, projections):
             self.values.add_entries(document.doc_id, projection.value_entries)
             self.facets.add(document)
-        self.stats.indexed += len(documents)
         if self.telemetry is not None:
             self.telemetry.inc("index.documents_indexed", len(documents))
         return len(documents)
 
     def unindex(self, doc_id: str) -> None:
-        # Purge queued copies too: in deferred mode an unindexed document
-        # must not be resurrected by a later apply_pending pass.
-        if self._pending:
-            self._pending = deque(
-                document for document in self._pending if document.doc_id != doc_id
-            )
         self.text.remove(doc_id)
         self.structure.remove(doc_id)
         self.values.remove(doc_id)
         self.facets.remove(doc_id)
         self.joins.remove_doc(doc_id)
-
-    # ------------------------------------------------------------------
-    def apply_pending(self, budget: Optional[int] = None) -> int:
-        """Index up to *budget* queued documents (all, when ``None``).
-
-        Returns how many were applied.  Called from the execution
-        manager's background-task slots.  The drained chunk is applied as
-        one :meth:`index_batch`, so deferred maintenance gets the same
-        projection sharing the pipeline's group stage does.
-        """
-        if not self._pending:
-            return 0
-        take = len(self._pending) if budget is None else min(budget, len(self._pending))
-        if take <= 0:
-            return 0
-        batch = [self._pending.popleft() for _ in range(take)]
-        applied = self.index_batch(batch)
-        self.stats.batches_applied += 1
-        if self.telemetry is not None:
-            self.telemetry.inc("index.batches_applied")
-        return applied
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     # ------------------------------------------------------------------
     def rebuild_from(self, store: DocumentStore) -> None:
@@ -211,6 +131,5 @@ class IndexManager:
         for name in self.facets.facet_names():
             rebuilt_facets.define(self.facets._definitions[name])
         self.facets = rebuilt_facets
-        self._pending.clear()
         for document in store.scan(latest_only=True):
             self.index_document(document)

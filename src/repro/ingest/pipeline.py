@@ -13,13 +13,13 @@ queue between producer and group commit:
    full queue stalls (or sheds) the producer instead of growing without
    bound.
 3. **group commit** — one batch takes one sharded storage write across
-   the data nodes, one index-maintenance round, one coalesced cache
-   invalidation epoch, and one discovery enqueue.
+   the data nodes, published on the change feed as one change set in
+   arrival order.
 
-The pipeline drives the same appliance components the per-document
-reactive path uses; it merely orchestrates them batch-at-a-time.  While
-a batch commits, the appliance's store listeners stand down
-(``_pipeline_active``) so stages run exactly once per document.
+The feed's subscribers do the rest — node and global indexes, auto
+views, the discovery queue, caches, IVM, standing queries and the
+standby, in that order (docs/INGEST.md) — exactly as they do for every
+other write: the pipeline only decides how documents are batched.
 """
 
 from __future__ import annotations
@@ -179,40 +179,21 @@ class IngestPipeline:
         return self._commit_batch(batch)
 
     def _commit_batch(self, batch: List[Document]) -> List[Document]:
-        """One group commit: storage shards, indexes, views, discovery.
+        """One group commit: the storage shards, published as one change
+        set.
 
-        The appliance's reactive store listeners are suppressed for the
-        duration — the pipeline calls each maintenance stage explicitly,
-        once per batch — and every per-store put event lands in a single
-        coalesced invalidation publication (one cache epoch, one change
-        set per batch, however many nodes the batch sharded across).
-
-        Index and auto-view maintenance run *inside* the coalescing
-        window: the change set is published when the window closes, so
-        delta consumers — incremental materializations, standing-query
-        notifications that may re-evaluate through the engine — always
-        observe the batch fully committed (stores, indexes, and catalog
-        views consistent), exactly like the reactive path, where store
-        listeners index before the bus publishes.  Tombstones in the
-        batch (batched deletes) are unindexed instead of indexed and
-        skip discovery/view growth.
+        Every per-node commit lands in a single coalesced publication (one
+        epoch, one change set per batch, in the batch's arrival order,
+        however many nodes the batch sharded across).  If one node's share
+        raises, the shares that already committed are still published
+        when the window closes, so no derived structure misses a durable
+        document.
         """
         app = self.appliance
         telemetry = app.telemetry
         with telemetry.span("ingest.batch", docs=len(batch)):
-            app._pipeline_active = True
-            try:
-                with app.caches.bus.coalescing():
-                    stored, finish = app.executor.ingest_batch(batch)
-                    live = [d for d in stored if not d.is_tombstone]
-                    app.indexes.index_batch(live)
-                    for tombstone in stored:
-                        if tombstone.is_tombstone:
-                            app.indexes.unindex(tombstone.doc_id)
-                    app._maintain_auto_views(live)
-                    app.discovery.enqueue_many(live)
-            finally:
-                app._pipeline_active = False
+            with app.cluster.feed.coalescing(batch):
+                stored, finish = app.executor.ingest_batch(batch)
         self._last_finish = finish
         telemetry.inc("ingest.docs", len(stored))
         telemetry.inc("ingest.batches")

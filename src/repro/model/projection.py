@@ -5,7 +5,7 @@ document over and over: the prose text walks the content tree and
 classifies every leaf, ``ValueIndex.add`` walks and classifies again,
 ``StructuralIndex.add`` walks a third time — and because every data node
 *and* the global catalog maintain their own indexes, each walk happens
-once per consumer.  For a single reactive put that is merely wasteful;
+once per consumer.  For a single put that is merely wasteful;
 for a bulk load it dominates the cost.
 
 The staged ingest pipeline (``repro.ingest``) fixes this at the model
@@ -17,7 +17,7 @@ catalog, auto-view upkeep) reuses the same :class:`DocumentProjection`.
 
 Projecting is also where model validation happens: an unsupported leaf
 type raises :class:`TypeError` here, at the validate stage, instead of
-deep inside an index listener after the bytes are already durable.
+deep inside a change-feed subscriber after the bytes are already durable.
 
 The projection is derived purely from ``content`` (never from identity
 or timestamps), so it is cached on the immutable document and survives

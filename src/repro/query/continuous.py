@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.cache.bus import ChangeSet
+from repro.storage.bus import ChangeSet
 from repro.index.text import tokenize
 from repro.model.projection import projection_of
 from repro.query.materialized import MaterializedQuery, _row_key  # noqa: F401 (re-export)

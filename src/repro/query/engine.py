@@ -89,17 +89,17 @@ class Repository(Protocol):
 
 
 class LocalRepository:
-    """Single-store repository for embedded/standalone use."""
+    """Single-store repository for embedded/standalone use; its index
+    follows the store's change feed."""
 
-    def __init__(
-        self,
-        store: DocumentStore,
-        views: Optional[ViewCatalog] = None,
-        indexes: Optional[IndexManager] = None,
-    ) -> None:
+    def __init__(self, store: DocumentStore, views: Optional[ViewCatalog] = None) -> None:
         self.store = store
         self.views = views if views is not None else ViewCatalog()
-        self.indexes = indexes if indexes is not None else IndexManager(store)
+        self.indexes = IndexManager()
+        store.feed.subscribe_deltas(self._index_commit)
+
+    def _index_commit(self, changeset) -> None:
+        self.indexes.index_batch(changeset.documents)
 
     def documents(self) -> Iterable[Document]:
         return self.store.scan()

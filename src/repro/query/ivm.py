@@ -1,6 +1,6 @@
 """Incremental view maintenance over bus change sets.
 
-The bus carries :class:`~repro.cache.bus.ChangeSet`s (doc ids plus the
+The bus carries :class:`~repro.storage.bus.ChangeSet`s (doc ids plus the
 stored documents); this module turns them into O(delta) maintenance:
 
 * :func:`analyze` decides whether a logical plan is *maintainable* —
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.cache.bus import DocumentChange
+from repro.storage.bus import DocumentChange
 from repro.exec.operators import AggSpec, Row, _orderable, group_aggregate, sort_rows
 from repro.model.views import RelationalView
 from repro.query.plans import (

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.cache.bus import ChangeSet, InvalidationBus
+from repro.storage.bus import ChangeSet, InvalidationBus
 from repro.exec.operators import Row
 from repro.model.document import Document, DocumentKind
 from repro.query.engine import QueryEngine
@@ -313,7 +313,7 @@ class MaterializedQuery:
 class MaterializationManager:
     """Registry riding the appliance invalidation bus.
 
-    It subscribes to the shared :class:`~repro.cache.bus.InvalidationBus`
+    It subscribes to the shared :class:`~repro.storage.bus.InvalidationBus`
     like every other cache tier, consuming the bus's delta stream so
     maintainable views update in O(changed documents).  Node events —
     chaos crash/corrupt/partition — dirty every materialization, because

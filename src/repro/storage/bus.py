@@ -1,24 +1,23 @@
-"""The invalidation bus: one event spine for every cache tier.
+"""The change feed: the one place a commit is announced.
 
-Before this existed, each cache wired its own private hook into
-``DocumentStore.put_listeners`` (the :class:`MaterializationManager`
-fan-out being the only instance).  The bus centralizes that: stores are
-attached once, chaos/topology events are published once, and every
-subscriber — result cache, probe memo, plan epoch, materializations,
-continuous-query subscriptions — sees the same ordered stream.
+Every write the appliance takes ends as a group commit on some
+:class:`~repro.storage.store.DocumentStore` (a plain put is a commit of
+one), and the store hands that commit to its feed — this bus — as one
+publication, after every document in it is durable.  Nothing else
+announces a write: ingest, discovery's annotation commits, updates,
+deletes and failover's promote all reach derived state the same way.
+Every derived structure subscribes here; the appliance registers them in
+one place and one order (docs/INGEST.md lists it).
 
 Two event families flow through:
 
-* **change sets** — documents persisted anywhere in the appliance.  The
-  unit of publication is the *batch*: a group commit arrives as one
-  :class:`ChangeSet` (a plain put is a change set of one), bumps the
-  epoch once, and carries a :class:`DocumentChange` per document — the
+* **change sets** — one :class:`ChangeSet` per publication: it bumps the
+  epoch once and carries a :class:`DocumentChange` per document — the
   doc id, the stored document (whose fused
-  :class:`~repro.model.projection.DocumentProjection` the ingest
-  pipeline already computed once), the dependency table, and whether the
-  change is an upsert or a tombstone delete.  Delta subscribers apply
-  these incrementally; the legacy batch/per-document subscriptions
-  still see the same documents for epoch-style invalidation.
+  :class:`~repro.model.projection.DocumentProjection` the ingest pipeline
+  already computed once), the dependency table, whether the change is an
+  upsert or a tombstone delete, and the data node whose store committed
+  it.
 * **node events** — chaos faults and topology changes (crash, recover,
   corrupt, partition, heal).  These change *which* data is visible, not
   just its content, so subscribers are expected to flush wholesale:
@@ -32,10 +31,11 @@ stamp entries with the epoch at fill time and treat any mismatch as a
 miss.
 
 When the staged ingest pipeline commits one logical batch across several
-data nodes, each node's store fires its own batch event; the pipeline
+data nodes, each node's store publishes its own commit; the pipeline
 wraps the storage stage in :meth:`InvalidationBus.coalescing` so those
-per-node events merge into a single publication — one epoch bump, one
-change set per ingest batch, however many nodes it sharded across.
+per-node commits merge into a single publication — one epoch bump, one
+change set per ingest batch, listed in the batch's arrival order however
+many nodes it sharded across.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.model.document import Document
 
-PutListener = Callable[[Document], None]
-BatchPutListener = Callable[[Sequence[Document]], None]
 NodeListener = Callable[[str, str], None]  # (node_id, event kind)
 
 
@@ -58,13 +56,16 @@ class DocumentChange:
     ``op`` is ``"upsert"`` (a new document or a new version of one) or
     ``"delete"`` (a tombstone version was appended — the carried
     ``document`` *is* the tombstone, so its metadata, and therefore the
-    dependency ``table``, survive for precise invalidation).
+    dependency ``table``, survive for precise invalidation).  ``node_id``
+    names the data node whose store committed the change (None for a
+    standalone store).
     """
 
     op: str
     doc_id: str
     document: Document
     table: Optional[str]
+    node_id: Optional[str] = None
 
     @property
     def is_delete(self) -> bool:
@@ -98,7 +99,7 @@ class ChangeSet:
 DeltaListener = Callable[[ChangeSet], None]
 
 
-def change_of(document: Document) -> DocumentChange:
+def change_of(document: Document, node_id: Optional[str] = None) -> DocumentChange:
     """Classify one stored document as an upsert or a tombstone delete."""
     op = "delete" if document.is_tombstone else "upsert"
     return DocumentChange(
@@ -106,6 +107,7 @@ def change_of(document: Document) -> DocumentChange:
         doc_id=document.doc_id,
         document=document,
         table=document.metadata.get("table"),
+        node_id=node_id,
     )
 
 
@@ -123,98 +125,74 @@ class BusStats:
 
 
 class InvalidationBus:
-    """Fan-out of change sets and node events to every subscribed cache."""
+    """Fan-out of change sets and node events to every subscriber."""
 
     def __init__(self) -> None:
         #: Monotone event counter; bumped by every put batch and node event.
         self.epoch = 0
         self.stats = BusStats()
-        self._put_subscribers: List[PutListener] = []
-        self._batch_subscribers: List[BatchPutListener] = []
         self._delta_subscribers: List[DeltaListener] = []
+        #: Always empty: every subscriber takes change sets.  Its one
+        #: reader is the e2e tracer (``benchmarks/e2e/trace.py``), which
+        #: wraps this list in place.
+        self._batch_subscribers: List[Callable] = []
         self._node_subscribers: List[NodeListener] = []
-        self._held: Optional[List[Document]] = None
+        self._held: Optional[List[DocumentChange]] = None
 
     # ------------------------------------------------------------------
     # subscriptions
     # ------------------------------------------------------------------
-    def subscribe_puts(self, listener: PutListener) -> None:
-        """Per-document subscription (one call per document in a batch)."""
-        self._put_subscribers.append(listener)
-
-    def subscribe_put_batches(self, listener: BatchPutListener) -> None:
-        """Batch subscription: one call per publication with every
-        document it carries — the shape coalescing caches want."""
-        self._batch_subscribers.append(listener)
-
     def subscribe_deltas(self, listener: DeltaListener) -> None:
         """Change-set subscription: one epoch-stamped :class:`ChangeSet`
-        per publication — the shape incremental maintainers want."""
+        per publication, delivered in subscription order."""
         self._delta_subscribers.append(listener)
 
     def subscribe_node_events(self, listener: NodeListener) -> None:
         self._node_subscribers.append(listener)
 
     # ------------------------------------------------------------------
-    # sources
-    # ------------------------------------------------------------------
-    def attach_store(self, store) -> None:
-        """Subscribe this bus to a document store's put stream.  Group
-        commits arrive batch-at-a-time, so one ``put_many`` is one event."""
-        store.batch_put_listeners.append(self._on_store_put_batch)
-
-    def _on_store_put_batch(self, pairs) -> None:
-        self.publish_put_batch([document for document, _ in pairs])
-
-    # ------------------------------------------------------------------
     # publication
     # ------------------------------------------------------------------
-    def publish_put(self, document: Document) -> None:
-        self.publish_put_batch((document,))
-
-    def publish_put_batch(self, documents: Sequence[Document]) -> None:
-        """Publish one batch of persisted documents as a single event."""
+    def publish_put_batch(
+        self, documents: Sequence[Document], node_id: Optional[str] = None
+    ) -> None:
+        """Publish one commit of persisted documents, committed by the
+        store of data node *node_id*, as a single event."""
         if not documents:
             return
+        changes = [change_of(document, node_id) for document in documents]
         if self._held is not None:
             # Inside a coalescing window: merge into the one pending event.
-            self._held.extend(documents)
+            self._held.extend(changes)
             return
+        self._publish(changes)
+
+    def _publish(self, changes: List[DocumentChange]) -> None:
         self.epoch += 1
-        changeset = ChangeSet(
-            epoch=self.epoch,
-            changes=tuple(change_of(document) for document in documents),
-        )
+        changeset = ChangeSet(epoch=self.epoch, changes=tuple(changes))
         self.stats.put_events += 1
-        self.stats.put_documents += len(documents)
-        self.stats.delete_documents += sum(
-            1 for change in changeset.changes if change.is_delete
-        )
-        # Coarse invalidators (result cache, probe memo) run before the
-        # incremental consumers: a maintainer or standing query that
-        # recomputes through the engine during this publication must not
-        # be served a result cached against the previous epoch.
-        for batch_listener in self._batch_subscribers:
-            batch_listener(documents)
-        for delta_listener in self._delta_subscribers:
-            delta_listener(changeset)
-        for listener in self._put_subscribers:
-            for document in documents:
-                listener(document)
+        self.stats.put_documents += len(changes)
+        self.stats.delete_documents += sum(1 for change in changes if change.is_delete)
+        for listener in self._delta_subscribers:
+            listener(changeset)
 
     @contextmanager
-    def coalescing(self):
-        """Merge every put published inside the window into one event.
+    def coalescing(self, order: Sequence[Document] = ()):
+        """Merge every commit published inside the window into one event.
 
         The ingest pipeline uses this around a multi-node storage stage:
         N per-node group commits become one publication — one epoch bump,
         one union invalidation, one change set — emitted when the window
-        closes.  Windows nest; only the outermost emits.  The emission
-        sits in a ``finally``: an exception inside the window still
-        publishes what was committed before the failure (those documents
-        are durable — their invalidation must not be lost), as exactly
-        one epoch.  A subscriber registered mid-window is visible by
-        emission time, so it sees the coalesced change set too.
+        closes.  *order* is the batch the window commits: the change set
+        lists its documents in that (arrival) order, not in the order the
+        per-node commits landed, so the discovery queue and the global
+        index see a batch as it arrived.  Windows nest; only the
+        outermost emits.  The emission sits in a ``finally``: an
+        exception inside the window still publishes what was committed
+        before the failure (those documents are durable — no derived
+        structure may miss them), as exactly one epoch.  A subscriber
+        registered mid-window is visible by emission time, so it sees the
+        coalesced change set too.
         """
         if self._held is not None:
             yield  # already inside a window — the outer one will emit
@@ -224,8 +202,11 @@ class InvalidationBus:
             yield
         finally:
             held, self._held = self._held, None
+            if len(held) > 1 and order:
+                rank = {(d.doc_id, d.version): i for i, d in enumerate(order)}
+                held.sort(key=lambda c: rank.get((c.doc_id, c.document.version), len(rank)))
             if held:
-                self.publish_put_batch(held)
+                self._publish(held)
 
     def publish_node_event(self, node_id: str, kind: str) -> None:
         """A chaos/topology event: crash, recover, corrupt, partition,

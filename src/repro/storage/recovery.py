@@ -11,11 +11,11 @@ from an empty store and re-bases its standby on it
 (:meth:`ContinuousReplicator.resync`).
 
 The shipping unit is the group commit: ``DocumentStore`` stamps a
-monotone ``commit_lsn`` per batch, the invalidation bus publishes the
-batch as a :class:`~repro.cache.bus.ChangeSet`, and the
-:class:`ContinuousReplicator` subscribed to that stream attributes each
-change to the data node that committed it and ships the node's delta
-over the simulated network.  Shipments crossing a partitioned link are
+monotone ``commit_lsn`` per batch, the change feed publishes the batch
+as a :class:`~repro.storage.bus.ChangeSet` whose changes name the data
+node that committed them, and the :class:`ContinuousReplicator`
+subscribed to that feed ships each node's delta over the simulated
+network.  Shipments crossing a partitioned link are
 buffered in order and retried — never silently dropped — first through
 the seeded :class:`~repro.chaos.retry.RetryPolicy`, then again at every
 later publication and at explicit ``flush_pending()`` calls.
@@ -139,12 +139,12 @@ class RestoreReport:
 class ContinuousReplicator:
     """Ships every group commit to a per-data-node standby log.
 
-    Subscribed to the invalidation bus's delta stream
-    (:meth:`attach_to_bus`), so the shipping unit is exactly the unit of
-    publication: one :class:`ChangeSet` per group commit (the ingest
-    pipeline's coalescing window merges a multi-node batch into one
-    publication, which this class splits back per owning node — each
-    node's share is that node's group commit).
+    Subscribed to the change feed (:meth:`attach_to_bus`), so the
+    shipping unit is exactly the unit of publication: one
+    :class:`ChangeSet` per group commit (the ingest pipeline's coalescing
+    window merges a multi-node batch into one publication, which this
+    class splits back per committing node — each node's share is that
+    node's group commit).
     """
 
     def __init__(
@@ -196,21 +196,20 @@ class ContinuousReplicator:
     # the shipping path
     # ------------------------------------------------------------------
     def on_change_set(self, changeset) -> None:
-        """One publication arrived: split it per owning data node and
+        """One publication arrived: split it per committing data node and
         ship each node's share as one commit record."""
         # Earlier buffered shipments go first so per-node order holds.
         if self._pending:
             self.flush_pending()
         groups: Dict[str, List[Document]] = {}
-        stores: Dict[str, object] = {}
         for change in changeset:
-            owner = self._owner_of(change.document)
-            if owner is None:
-                continue  # committed by a store no live data node owns
-            groups.setdefault(owner.node_id, []).append(change.document)
-            stores[owner.node_id] = owner.store
+            if change.node_id is not None:
+                groups.setdefault(change.node_id, []).append(change.document)
         for node_id in sorted(groups):
-            store = stores[node_id]
+            node = self.cluster.node(node_id)
+            if not node.alive:
+                continue  # committed by a node that has died since
+            store = node.store
             documents = tuple(groups[node_id])
             self._ship(
                 Shipment(
@@ -222,15 +221,6 @@ class ContinuousReplicator:
                 )
             )
             self._maybe_snapshot(node_id, store)
-
-    def _owner_of(self, document: Document):
-        """The live data node whose store committed *document*."""
-        for node in self.cluster.data_nodes:
-            if node.store is not None and node.store.has_version(
-                document.doc_id, document.version
-            ):
-                return node
-        return None
 
     def _payload_bytes(self, documents: Tuple[Document, ...]) -> int:
         return sum(d.size_bytes() for d in documents) + SHIPMENT_OVERHEAD_BYTES

@@ -13,6 +13,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.model.document import Document
 from repro.storage.bufferpool import AccessHint, BufferPool, Prefetcher
+from repro.storage.bus import InvalidationBus
 from repro.storage.columnstore import ColumnStore, is_columnar_view
 from repro.storage.pages import (
     DEFAULT_PAGE_BYTES,
@@ -50,6 +51,10 @@ class DocumentStore:
     prefetcher:
         Read-ahead policy (defaults to none; the executor installs a
         hinted prefetcher).
+    feed / node_id:
+        The change feed every commit is published on, and the data node
+        the commits are published under.  A standalone store owns a feed
+        of its own; a cluster's data nodes share the cluster's.
     """
 
     def __init__(
@@ -59,6 +64,8 @@ class DocumentStore:
         segment_pages: int = DEFAULT_SEGMENT_PAGES,
         buffer_capacity: int = 128,
         prefetcher: Optional[Prefetcher] = None,
+        feed: Optional[InvalidationBus] = None,
+        node_id: Optional[str] = None,
     ) -> None:
         self.clock = clock if clock is not None else LogicalClock()
         self.page_bytes = page_bytes
@@ -71,8 +78,8 @@ class DocumentStore:
         self.stats = StoreStats()
         #: Monotone group-commit sequence number: bumped once per commit
         #: (``put`` is a commit of one; ``delete`` rides ``put``) before
-        #: any listener fires, so a replication subscriber reading it
-        #: during the announcement sees the LSN of the batch it carries.
+        #: the commit is published, so a replication subscriber reading it
+        #: during the publication sees the LSN of the batch it carries.
         #: This is the recovery layer's replay cursor (docs/RECOVERY.md).
         self.commit_lsn = 0
         #: Documents whose head version is live (not tombstoned).
@@ -93,19 +100,12 @@ class DocumentStore:
             segment_pages=self._segment_page_count,
             prefetcher=prefetcher,
         )
-        #: Hooks called after every successful put; indexes subscribe here
-        #: so maintenance is incremental (Section 3.3 last paragraph).
-        #: Fired once per document, and only after the whole commit — a
-        #: listener never observes a document whose page address is not
-        #: durable yet.
-        self.put_listeners: List[Callable[[Document, PageAddress], None]] = []
-        #: Batch-granular hooks: one call per group commit with the whole
-        #: ``[(document, address), ...]`` batch (a plain :meth:`put` is a
-        #: batch of one).  Index maintenance and cache invalidation
-        #: subscribe here so their work amortizes across the batch.
-        self.batch_put_listeners: List[
-            Callable[[List[Tuple[Document, PageAddress]]], None]
-        ] = []
+        #: One publication per commit (a plain :meth:`put` is a commit of
+        #: one), made only after every document in it is durable; every
+        #: index, view, queue and cache learns of writes from here
+        #: (Section 3.3 last paragraph: maintenance is incremental).
+        self.feed = feed if feed is not None else InvalidationBus()
+        self.node_id = node_id
         #: Hooks called when a segment seals; the replica manager places
         #: sealed segments.
         self.seal_listeners: List[Callable[[int], None]] = []
@@ -161,10 +161,10 @@ class DocumentStore:
         versions with :meth:`Document.new_version`, never by mutating.
 
         Ordering matters: validate → append to a page → record the
-        version → notify.  Validation happens *before* the physical
+        version → publish.  Validation happens *before* the physical
         append, and the version is recorded *after* it, so a crash (or
         injected fault) at any point leaves no phantom version whose
-        address was never written — listeners only ever see durable
+        address was never written — the feed only ever carries durable
         documents.
         """
         if document.ingest_ts == 0:
@@ -174,7 +174,7 @@ class DocumentStore:
         self._commit_version(document, address)
         self.stats.puts += 1
         self.stats.bytes_stored += document.size_bytes()
-        self._notify_put([(document, address)])
+        self._publish([document])
         return document
 
     def put_many(self, documents) -> List[Document]:
@@ -182,10 +182,10 @@ class DocumentStore:
 
         Store state afterwards is exactly what sequential :meth:`put`
         calls would produce — same timestamps, same page layout, same
-        version chains.  What changes is the announcement protocol: every
-        document in the batch is physically durable (page address written,
-        version recorded) before *any* listener fires, and the batch
-        listeners fire exactly once for the whole group.
+        version chains.  What changes is the announcement: every document
+        in the batch is physically durable (page address written, version
+        recorded) before the commit is published, and it is published
+        once, as one change set, for the whole group.
 
         The batch is admitted as a unit: every document is validated
         against the version chains (and against earlier documents in the
@@ -218,16 +218,13 @@ class DocumentStore:
         if not staged:
             return []
 
-        pairs: List[Tuple[Document, PageAddress]] = []
         total_bytes = 0
         for document in staged:
-            address = self._append_physical(document)
-            self._commit_version(document, address)
+            self._commit_version(document, self._append_physical(document))
             total_bytes += document.size_bytes()
-            pairs.append((document, address))
         self.stats.puts += len(staged)
         self.stats.bytes_stored += total_bytes
-        self._notify_put(pairs)
+        self._publish(staged)
         return staged
 
     def _commit_version(self, document: Document, address: PageAddress) -> None:
@@ -261,15 +258,10 @@ class DocumentStore:
                 raise RuntimeError("fresh segment refused an append")
         return address
 
-    def _notify_put(self, pairs: List[Tuple[Document, PageAddress]]) -> None:
-        """Announce a committed batch: batch listeners once, then the
-        per-document compat hooks in batch order."""
+    def _publish(self, documents: List[Document]) -> None:
+        """Announce one durable commit on the feed."""
         self.commit_lsn += 1
-        for listener in self.batch_put_listeners:
-            listener(pairs)
-        for document, address in pairs:
-            for listener in self.put_listeners:
-                listener(document, address)
+        self.feed.publish_put_batch(documents, self.node_id)
 
     def update(self, doc_id: str, content, metadata: Optional[dict] = None) -> Document:
         """Convenience: derive and persist the next version of *doc_id*."""
@@ -281,9 +273,9 @@ class DocumentStore:
 
         The appliance never removes bytes: the tombstone supersedes the
         head, so ``lookup`` answers None and scans skip the chain, while
-        ``history``/``as_of`` still see every earlier version.  Listeners
-        are notified like any put — the tombstone flows down the
-        invalidation bus as a delete change.  Idempotent: deleting a
+        ``history``/``as_of`` still see every earlier version.  It is
+        published like any put — the tombstone flows down the feed as a
+        delete change.  Idempotent: deleting a
         deleted document returns the existing tombstone without a new
         version.  Raises LookupError for an unknown doc_id.
         """
@@ -330,15 +322,6 @@ class DocumentStore:
 
     def contains(self, doc_id: str) -> bool:
         return doc_id in self.versions
-
-    def has_version(self, doc_id: str, version: int) -> bool:
-        """True when this store committed exactly (*doc_id*, *version*).
-
-        Address-map membership, not a chain walk: the replication layer
-        attributes each change in a coalesced multi-node publication to
-        the one store that committed it, without touching any page.
-        """
-        return (doc_id, version) in self._addresses
 
     def history(self, doc_id: str) -> VersionChain:
         return self.versions.chain(doc_id)

@@ -13,7 +13,6 @@ from repro.cache import (
     CacheConfig,
     CacheHierarchy,
     IndexProbeMemo,
-    InvalidationBus,
     PlanCache,
     ResultCache,
     normalize_sql,
@@ -27,6 +26,7 @@ from repro.model.views import base_table_view
 from repro.query.engine import LocalRepository, QueryEngine
 from repro.query.keyword import KeywordHit, KeywordSearch
 from repro.security.policy import AccessPolicy, Action, Principal, Rule
+from repro.storage.bus import InvalidationBus
 from repro.storage.store import DocumentStore
 
 
@@ -240,14 +240,14 @@ class TestProbeMemo:
 # ---------------------------------------------------------------------------
 class TestInvalidationBus:
     def test_store_puts_flow_through(self):
-        bus = InvalidationBus()
         store = DocumentStore()
-        bus.attach_store(store)
+        bus = store.feed
         seen = []
-        bus.subscribe_puts(seen.append)
+        bus.subscribe_deltas(seen.append)
         store.put(from_relational_row("r1", "orders", {"oid": 1}))
         assert len(seen) == 1
-        assert seen[0].metadata["table"] == "orders"
+        (change,) = seen[0]
+        assert change.table == "orders" and change.node_id is None
         assert bus.epoch == 1
         assert bus.stats.put_events == 1
 
@@ -267,7 +267,7 @@ class TestCacheHierarchy:
         h.results.store("orders-q", ROWS, frozenset({"orders"}), 0.0)
         h.results.store("cust-q", ROWS, frozenset({"customers"}), 0.0)
         h.probes.lookup(("orders", "oid"), 1, lambda: {"d"})
-        h.bus.publish_put(from_relational_row("r", "orders", {"oid": 2}))
+        h.bus.publish_put_batch([from_relational_row("r", "orders", {"oid": 2})])
         assert h.results.lookup("orders-q") is None
         assert h.results.lookup("cust-q") is not None
         assert h.probes.entry_count == 0  # puts flush the memo wholesale
@@ -319,7 +319,7 @@ def cached_setup():
             {"oid": i, "region": "east" if i % 2 else "west", "amount": float(i)},
         ))
     caches = CacheHierarchy(CacheConfig())
-    caches.attach_to_store(store)
+    caches.attach_to_bus(store.feed)
     engine = QueryEngine(repo, cache=caches)
     return store, engine, caches
 
@@ -390,7 +390,7 @@ class TestEngineCaching:
         repo.views.define(base_table_view("orders", "orders", ["oid", "amount"]))
         store.put(from_relational_row("o1", "orders", {"oid": 1, "amount": 5.0}))
         caches = CacheHierarchy(CacheConfig(enabled=False))
-        caches.attach_to_store(store)
+        caches.attach_to_bus(store.feed)
         engine = QueryEngine(repo, cache=caches)
         sql = "SELECT oid FROM orders"
         assert not engine.sql(sql).cached
@@ -534,19 +534,6 @@ def _projected_add(app):
     app.indexes.text.add_projected("p1", {"refund": [0, 2], "late": [1]}, 3)
 
 
-def _deferred_apply(app):
-    # Queued puts leave the index (and every cached answer) as it was;
-    # applying them is the mutation.
-    manager = app.indexes
-    manager.deferred = True
-    generation = manager.text.generation
-    document = from_relational_row("o77", "orders", {"oid": 77, "note": "refund deferred"})
-    manager._on_put_batch([(document, None)])
-    assert manager.pending_count == 1 and manager.text.generation == generation
-    assert app.search("refund").cached is app.caches.enabled
-    assert manager.apply_pending() == 1
-
-
 ROUTES = {
     "ingest": lambda app: app.ingest({"oid": 50, "note": "late refund"}, table="orders"),
     "ingest_many": lambda app: app.ingest_many(
@@ -560,7 +547,6 @@ ROUTES = {
     "text.rebuild": lambda app: app.indexes.text.rebuild([("r1", "refund"), ("r2", "widget")]),
     "manager.rebuild_from": lambda app: app.indexes.rebuild_from(
         app.cluster.data_nodes[0].store),
-    "manager.apply_pending": _deferred_apply,
 }
 
 
@@ -683,14 +669,12 @@ class TestSearchCaching:
         assert result["search_hits"] == result["search_misses"] == 0
         assert result["hits"] == result["misses"] == 0
 
-    def test_deferred_index_generation_moves_only_when_applied(self):
+    def test_rebuild_gives_a_fresh_index_generation(self):
         store = DocumentStore()
-        manager = IndexManager(store, deferred=True)
+        manager = IndexManager()
         generation = manager.text.generation
-        store.put(from_relational_row("o1", "orders", {"oid": 1, "note": "refund"}))
-        assert manager.text.generation == generation  # queued, index untouched
-        manager.apply_pending()
-        applied = manager.text.generation
-        assert applied != generation
+        manager.index_batch([store.put(from_relational_row("o1", "orders", {"oid": 1}))])
+        indexed = manager.text.generation
+        assert indexed != generation
         manager.rebuild_from(store)  # a new index object, never an old generation
-        assert manager.text.generation not in (generation, applied)
+        assert manager.text.generation not in (generation, indexed)

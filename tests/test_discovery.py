@@ -94,7 +94,7 @@ def discovery_setup():
         annotators=default_annotators(products=["WidgetPro", "GadgetMax"]),
         rules=[RelationshipRule("mentions", "product_mention", "product", ("products", "name"))],
     )
-    store.put_listeners.append(lambda d, a: engine.enqueue(d))
+    store.feed.subscribe_deltas(lambda changes: engine.enqueue_many(changes.documents))
     return store, repo, engine
 
 

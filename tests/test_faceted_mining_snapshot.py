@@ -19,7 +19,6 @@ def mining_repo():
     repo.indexes.facets.define(source_format_facet())
     repo.indexes.facets.define(path_facet("region", ("orders", "region")))
     repo.indexes.facets.define(path_facet("status", ("orders", "status")))
-    store.put_listeners.append(lambda d, a: repo.indexes.index_document(d))
     for i in range(12):
         store.put(from_relational_row(
             f"o{i}", "orders",

@@ -18,7 +18,6 @@ def repo():
     from repro.index.facets import source_format_facet
 
     repository.indexes.facets.define(source_format_facet())
-    store.put_listeners.append(lambda d, a: repository.indexes.index_document(d))
     store.put(from_relational_row("c1", "claims", {"cid": 1, "procedure": "biopsy", "amount": 400.0}))
     store.put(from_relational_row("c2", "claims", {"cid": 2, "procedure": "biopsy", "amount": 4000.0}))
     store.put(from_relational_row("c3", "claims", {"cid": 3, "procedure": "dialysis", "amount": 900.0}))

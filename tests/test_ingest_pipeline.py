@@ -88,32 +88,34 @@ class TestGroupCommitOrdering:
         store = DocumentStore()
         seen = []
 
-        def listener(document, address):
-            # At listener time the put must be fully durable: address
+        def listener(changeset):
+            # At publication the put must be fully durable: address
             # recorded, version chain current, readable through get().
-            assert store.contains(document.doc_id)
-            assert store.get(document.doc_id).vid == document.vid
-            assert store.versions.head(document.doc_id).vid == document.vid
-            seen.append(document.doc_id)
+            for document in changeset.documents:
+                assert store.contains(document.doc_id)
+                assert store.get(document.doc_id).vid == document.vid
+                assert store.versions.head(document.doc_id).vid == document.vid
+            seen.append([change.doc_id for change in changeset])
 
-        store.put_listeners.append(listener)
+        store.feed.subscribe_deltas(listener)
         store.put(from_text("t1", "hello"))
-        assert seen == ["t1"]
+        assert seen == [["t1"]]
 
     def test_batch_listener_sees_whole_batch_durable(self):
         store = DocumentStore()
         checked = []
 
-        def batch_listener(pairs):
-            # EVERY document of the batch is durable before ANY listener
-            # observes the first one.
-            for document, address in pairs:
+        def batch_listener(changeset):
+            # One commit is one publication, made after EVERY document of
+            # the batch is durable.
+            for document in changeset.documents:
                 assert store.get(document.doc_id).vid == document.vid
-            checked.append([d.doc_id for d, _ in pairs])
+            checked.append([change.doc_id for change in changeset])
 
-        store.batch_put_listeners.append(batch_listener)
+        store.feed.subscribe_deltas(batch_listener)
         store.put_many([from_text(f"b{i}", f"text {i}") for i in range(5)])
         assert checked == [["b0", "b1", "b2", "b3", "b4"]]
+        assert store.feed.epoch == store.commit_lsn == 1
 
     def test_failed_append_leaves_no_phantom_version(self, monkeypatch):
         store = DocumentStore()
@@ -277,63 +279,6 @@ class TestBatchRouting:
         app = make_app()
         assert app.ingest_many([]) == []
         assert app.cluster.doc_count == 0
-
-
-# ----------------------------------------------------------------------
-# deferred index maintenance: apply_pending budget edges
-# ----------------------------------------------------------------------
-class TestApplyPendingBudget:
-    def _deferred_manager(self):
-        from repro.index.manager import IndexManager
-
-        store = DocumentStore()
-        manager = IndexManager(store, deferred=True)
-        return store, manager
-
-    def test_budget_zero_applies_nothing(self):
-        store, manager = self._deferred_manager()
-        store.put(from_text("a", "alpha words"))
-        assert manager.pending_count == 1
-        assert manager.apply_pending(0) == 0
-        assert manager.pending_count == 1
-        assert "a" not in manager.text
-
-    def test_budget_larger_than_pending_drains_all(self):
-        store, manager = self._deferred_manager()
-        for i in range(3):
-            store.put(from_text(f"d{i}", f"document number {i}"))
-        assert manager.apply_pending(100) == 3
-        assert manager.pending_count == 0
-        assert manager.apply_pending(100) == 0  # idempotent when empty
-        for i in range(3):
-            assert f"d{i}" in manager.text
-
-    def test_negative_budget_applies_nothing(self):
-        store, manager = self._deferred_manager()
-        store.put(from_text("a", "alpha"))
-        assert manager.apply_pending(-5) == 0
-        assert manager.pending_count == 1
-
-    def test_unindex_of_pending_doc_is_not_resurrected(self):
-        store, manager = self._deferred_manager()
-        store.put(from_text("gone", "should never index"))
-        store.put(from_text("stay", "should index fine"))
-        manager.unindex("gone")  # interleaved removal while still queued
-        assert manager.apply_pending() == 1
-        assert "gone" not in manager.text
-        assert "stay" in manager.text
-        assert manager.pending_count == 0
-
-    def test_budgeted_passes_preserve_order(self):
-        store, manager = self._deferred_manager()
-        for i in range(5):
-            store.put(from_text(f"p{i}", f"payload {i}"))
-        assert manager.apply_pending(2) == 2
-        assert manager.pending_count == 3
-        assert "p0" in manager.text and "p1" in manager.text
-        assert "p2" not in manager.text
-        assert manager.apply_pending() == 3
-        assert manager.pending_count == 0
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ differential property harness lives in ``tests/test_ivm_properties.py``.
 
 import pytest
 
-from repro.cache.bus import ChangeSet, InvalidationBus, change_of
+from repro.storage.bus import ChangeSet, InvalidationBus, change_of
 from repro.core.appliance import Impliance
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
@@ -42,8 +42,7 @@ def setup():
     repo.views.define(base_table_view("orders", "orders", ["oid", "region", "amount"]))
     for i in range(10):
         store.put(order_doc(i, "east" if i % 2 else "west", float(i)))
-    bus = InvalidationBus()
-    bus.attach_store(store)
+    bus = store.feed
     engine = QueryEngine(repo)
     manager = MaterializationManager(engine)
     manager.attach_to_bus(bus)
@@ -112,12 +111,12 @@ class TestCoalescing:
         seen = []
         bus.subscribe_deltas(seen.append)
         with bus.coalescing():
-            bus.publish_put(order_doc(1))
+            bus.publish_put_batch([order_doc(1)])
             with bus.coalescing():
-                bus.publish_put(order_doc(2))
+                bus.publish_put_batch([order_doc(2)])
             # inner exit must not emit
             assert seen == []
-            bus.publish_put(order_doc(3))
+            bus.publish_put_batch([order_doc(3)])
         assert len(seen) == 1
         assert [c.doc_id for c in seen[0]] == ["o1", "o2", "o3"]
         assert bus.epoch == 1
@@ -128,24 +127,24 @@ class TestCoalescing:
         bus.subscribe_deltas(seen.append)
         with pytest.raises(RuntimeError):
             with bus.coalescing():
-                bus.publish_put(order_doc(1))
-                bus.publish_put(order_doc(2))
+                bus.publish_put_batch([order_doc(1)])
+                bus.publish_put_batch([order_doc(2)])
                 raise RuntimeError("mid-batch failure")
         # the documents published before the failure are durable — their
         # invalidation must not be lost, and must cost exactly one epoch
         assert len(seen) == 1 and bus.epoch == 1
         assert [c.doc_id for c in seen[0]] == ["o1", "o2"]
         # the window is fully closed: the next put is its own epoch
-        bus.publish_put(order_doc(3))
+        bus.publish_put_batch([order_doc(3)])
         assert bus.epoch == 2 and len(seen) == 2
 
     def test_subscriber_registered_mid_window_sees_coalesced_delta(self):
         bus = InvalidationBus()
         late = []
         with bus.coalescing():
-            bus.publish_put(order_doc(1))
+            bus.publish_put_batch([order_doc(1)])
             bus.subscribe_deltas(late.append)  # registered after first put
-            bus.publish_put(order_doc(2))
+            bus.publish_put_batch([order_doc(2)])
         assert len(late) == 1
         assert [c.doc_id for c in late[0]] == ["o1", "o2"]
 
@@ -164,7 +163,7 @@ class TestCoalescing:
         events = []
         bus.subscribe_node_events(lambda n, k: events.append(k))
         with bus.coalescing():
-            bus.publish_put(order_doc(1))
+            bus.publish_put_batch([order_doc(1)])
             bus.publish_node_event("n0", "corrupt")
             assert events == ["corrupt"]
 

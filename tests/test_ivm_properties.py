@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.bus import InvalidationBus
 from repro.model.converters import from_relational_row, from_text
 from repro.model.views import base_table_view
 from repro.query.continuous import SubscriptionManager, _row_key
@@ -60,8 +59,7 @@ class Harness:
             base_table_view("orders", "orders", ["oid", "cid", "region", "amount"])
         )
         self.repo.views.define(base_table_view("customers", "customers", ["cid", "name"]))
-        self.bus = InvalidationBus()
-        self.bus.attach_store(self.store)
+        self.bus = self.store.feed
         self.engine = QueryEngine(self.repo)
         self.manager = MaterializationManager(self.engine)
         self.manager.attach_to_bus(self.bus)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.bus import InvalidationBus
+from repro.storage.bus import InvalidationBus
 from repro.model.converters import from_relational_row
 from repro.model.document import DocumentKind
 from repro.model.views import base_table_view
@@ -24,8 +24,7 @@ def setup():
             {"oid": i, "region": "east" if i % 2 else "west", "amount": float(i)},
         ))
     engine = QueryEngine(repo)
-    bus = InvalidationBus()
-    bus.attach_store(store)
+    bus = store.feed
     manager = MaterializationManager(engine)
     manager.attach_to_bus(bus)
     return store, engine, manager
@@ -235,8 +234,8 @@ class TestManagerBus:
         manager.attach_to_bus(bus)
         mv = manager.define("shared", SQL)
         mv.rows()
-        bus.publish_put(from_relational_row(
-            "o-x", "orders", {"oid": 900, "region": "west", "amount": 2.0}))
+        bus.publish_put_batch([from_relational_row(
+            "o-x", "orders", {"oid": 900, "region": "west", "amount": 2.0})])
         assert not mv.is_fresh
         mv.rows()
         bus.publish_node_event("data-1", "partition")

@@ -19,7 +19,6 @@ def media_repo():
     repo = LocalRepository(store)
     repo.indexes.facets.define(source_format_facet())
     repo.indexes.facets.define(path_facet("region", ("orders", "region")))
-    store.put_listeners.append(lambda d, a: repo.indexes.index_document(d))
     store.put(from_text("t1", "the widget assembly broke during testing"))
     store.put(from_text("t2", "widget shipment delayed due to weather"))
     store.put(from_text("t3", "gadget sales exceeded forecast"))

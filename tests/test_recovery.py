@@ -65,13 +65,6 @@ class TestCommitLsn:
         store.delete("rc-1")
         assert store.commit_lsn == 2
 
-    def test_has_version(self):
-        store = DocumentStore()
-        stored = store.put(doc(1))
-        assert store.has_version(stored.doc_id, stored.version)
-        assert not store.has_version(stored.doc_id, 99)
-        assert not store.has_version("nope", 1)
-
 
 # ======================================================================
 # as-of reads bisect (the replaced linear scan)
@@ -278,7 +271,7 @@ class TestFailover:
 
         for name in (
             "doc_ids", "history", "lookup", "get", "get_version", "as_of",
-            "contains", "has_version", "scan", "scan_batches",
+            "contains", "scan", "scan_batches",
             "scan_view_batches", "scan_addresses",
         ):
             monkeypatch.setattr(victim, name, poisoned)

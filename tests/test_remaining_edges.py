@@ -116,7 +116,6 @@ class TestFacetedWithin:
         store = DocumentStore()
         repo = LocalRepository(store)
         repo.indexes.facets.define(source_format_facet())
-        store.put_listeners.append(lambda d, a: repo.indexes.index_document(d))
         for i in range(6):
             store.put(from_text(f"t{i}", f"text number {i}"))
         session = FacetedSession(repo, within={"t0", "t1"})
@@ -133,7 +132,6 @@ class TestFacetedWithin:
         store = DocumentStore()
         repo = LocalRepository(store)
         repo.indexes.facets.define(source_format_facet())
-        store.put_listeners.append(lambda d, a: repo.indexes.index_document(d))
         store.put(from_text("a", "wanted term here"))
         store.put(from_text("b", "wanted term too"))
         session = FacetedSession(repo, query="wanted", within={"a"})

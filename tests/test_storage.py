@@ -4,7 +4,7 @@ import pytest
 
 from repro.model.converters import from_text
 from repro.model.document import Document
-from repro.storage.pages import Page, PageAddress, Segment
+from repro.storage.pages import Page, Segment
 from repro.storage.versions import VersionConflictError
 
 
@@ -135,12 +135,18 @@ class TestDocumentStore:
         assert small_store.segment_count > 1
         assert small_store.doc_count == 40
 
-    def test_put_listeners_called(self, store):
+    def test_put_publishes_one_change_set(self, store):
         seen = []
-        store.put_listeners.append(lambda d, a: seen.append((d.doc_id, a)))
+
+        def listener(changeset):
+            # One commit, one publication, made once the document is durable.
+            assert store.get("a").vid == changeset.documents[0].vid
+            seen.append([change.doc_id for change in changeset])
+
+        store.feed.subscribe_deltas(listener)
         store.put(from_text("a", "x"))
-        assert seen and seen[0][0] == "a"
-        assert isinstance(seen[0][1], PageAddress)
+        assert seen == [["a"]]
+        assert store.feed.epoch == store.commit_lsn == 1
 
     def test_seal_listeners_called(self, small_store):
         sealed = []

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.bus import InvalidationBus
 from repro.core.appliance import Impliance
 from repro.model.converters import from_relational_row, from_text
 from repro.model.views import base_table_view
@@ -73,8 +72,7 @@ class Harness:
         for cid in range(3):
             self.store.put(from_relational_row(
                 f"c{cid}", "customers", {"cid": cid, "name": f"name{cid}"}))
-        self.bus = InvalidationBus()
-        self.bus.attach_store(self.store)
+        self.bus = self.store.feed
         self.engine = QueryEngine(self.repo)
         self.scheduler = FlakyScheduler()
         self.manager = SubscriptionManager(SimpleNamespace(
@@ -244,8 +242,7 @@ def test_aggregate_cursor_survives_an_interleaved_read():
         store.put(from_relational_row(
             f"o{i}", "orders", {"oid": i, "region": "east" if i % 2 else "west",
                                 "amount": float(i)}))
-    bus = InvalidationBus()
-    bus.attach_store(store)
+    bus = store.feed
     manager = MaterializationManager(QueryEngine(repo))
     manager.attach_to_bus(bus)
     mv = manager.define("totals", "SELECT region, sum(amount) AS total FROM orders GROUP BY region")

@@ -261,7 +261,6 @@ class TestSingleFetch:
     def repo(self):
         store = DocumentStore()
         repository = LocalRepository(store)
-        store.put_listeners.append(lambda d, a: repository.indexes.index_document(d))
         store.put(from_text("t1", "the widget assembly broke during testing"))
         store.put(from_text("t2", "widget shipment delayed"))
         store.put(from_text("t3", "gadget sales exceeded forecast"))

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Line-coverage gate for the invalidation/IVM core (``make coverage``).
+"""Line-coverage gate for the change feed and its consumers (``make coverage``).
 
-Runs the cache + materialization + IVM + standing-query test files and
-fails when line coverage of ``repro.cache`` and
+Runs the cache + materialization + IVM + standing-query + change-feed
+test files and fails when line coverage of ``repro.cache``,
+``repro.storage.bus`` (the change feed), ``repro.ingest.pipeline`` and
 ``repro.query.materialized`` / ``repro.query.ivm`` /
 ``repro.query.continuous`` drops below the floor — the delta machinery
 is the one place a silently untested branch turns into a stale answer.
@@ -27,7 +28,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Modules the gate measures.
 TARGET_FILES = [
     "src/repro/cache/__init__.py",
-    "src/repro/cache/bus.py",
+    "src/repro/storage/bus.py",
+    "src/repro/ingest/pipeline.py",
     "src/repro/cache/config.py",
     "src/repro/cache/hierarchy.py",
     "src/repro/cache/plancache.py",
@@ -46,6 +48,7 @@ TEST_FILES = [
     "tests/test_ivm.py",
     "tests/test_ivm_properties.py",
     "tests/test_subscription_deltas.py",
+    "tests/test_change_feed.py",
 ]
 
 #: Fail-under floor (percent, across all target files combined).
@@ -71,6 +74,8 @@ def run_with_pytest_cov() -> int:
         "-m",
         "pytest",
         "--cov=repro.cache",
+        "--cov=repro.storage.bus",
+        "--cov=repro.ingest.pipeline",
         "--cov=repro.query.materialized",
         "--cov=repro.query.ivm",
         "--cov=repro.query.continuous",
