@@ -176,7 +176,7 @@ def _apply(app, step):
 
 
 @settings(
-    max_examples=30,
+    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
