@@ -885,9 +885,9 @@ class Impliance:
     def storage_stats(self) -> Dict[str, Any]:
         """Aggregate storage-layer report across the data nodes: row
         bytes vs columnar raw/encoded bytes (the native page format's
-        compression ratio, docs/STORAGE.md), buffer-pool byte traffic
-        split encoded/decoded, and the cold-path compressor's stage
-        counters."""
+        compression ratio, docs/STORAGE.md) and its dictionaries' match
+        caches, buffer-pool byte traffic split encoded/decoded, and the
+        cold-path compressor's stage counters."""
         live_docs = 0
         row_bytes = 0
         columnar_rows = 0
@@ -895,6 +895,7 @@ class Impliance:
         columnar_irregular = 0
         columnar_raw = 0
         columnar_encoded = 0
+        match_entries = match_hits = match_evictions = 0
         pool_encoded = 0
         pool_decoded = 0
         pool_resident = 0
@@ -911,6 +912,10 @@ class Impliance:
                 columnar_irregular += group.irregular_rows
                 columnar_raw += group.raw_bytes
                 columnar_encoded += group.encoded_bytes()
+                for dictionary in group.dictionaries.values():
+                    match_entries += dictionary.match_entries()
+                    match_hits += dictionary.match_hits
+                    match_evictions += dictionary.match_evictions
             pool_encoded += store.buffer_pool.stats.bytes_read_encoded
             pool_decoded += store.buffer_pool.stats.bytes_read_decoded
             pool_resident += store.buffer_pool.resident_bytes
@@ -930,6 +935,9 @@ class Impliance:
                 "bytes_raw": columnar_raw,
                 "bytes_encoded": columnar_encoded,
                 "ratio": ratio,
+                "match_cache_entries": match_entries,
+                "match_cache_hits": match_hits,
+                "match_cache_evictions": match_evictions,
             },
             "buffer_pool": {
                 "bytes_read_encoded": pool_encoded,

@@ -26,14 +26,12 @@ from repro.exec.operators import (
     OperatorStats,
     Row,
     group_aggregate,
-    hash_join,
     hash_join_batches,
     merge_joined_row,
     merge_partial_aggregates,
     partial_aggregate,
     sort_batches,
     sort_rows,
-    top_k,
 )
 from repro.exec.parallel import (
     BatchPartitions,
@@ -64,11 +62,9 @@ __all__ = [
     "OperatorStats",
     "Row",
     "group_aggregate",
-    "hash_join",
     "merge_partial_aggregates",
     "partial_aggregate",
     "sort_rows",
-    "top_k",
     "ExecReport",
     "ParallelExecutor",
     "Partitions",

@@ -9,11 +9,10 @@ is that limited operator vocabulary:
   :class:`GroupAggregator`) — what compiled pipelines
   (:mod:`repro.query.compile`) run; filtering and projection have no
   operator here, they are fused into the pipeline's per-batch closure;
-* row operators over plain dicts (``hash_join``, ``sort_rows``,
-  ``top_k``, ``group_aggregate`` and the partial/merge pair) — what
-  incremental view maintenance and the grid-side executor run on small
-  deltas and shipped partials, and what the test oracle interprets
-  plans with.
+* row operators over plain dicts (``sort_rows``, ``group_aggregate``
+  and the partial/merge pair) — what incremental view maintenance and
+  the grid-side executor run on small deltas and shipped partials, and
+  what the test oracle interprets plans with.
 
 All keep row/batch statistics so the executor can charge simulated cost
 for the work they actually did, and a batch operator produces rows
@@ -26,9 +25,9 @@ producing "averaged phone numbers".
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.batch import ColumnBatch
 from repro.model.values import classify_value, coerce_numeric
@@ -68,33 +67,6 @@ def merge_joined_row(joined: Row, match: Row) -> Row:
     return joined
 
 
-def hash_join(
-    left: Iterable[Row],
-    right: Iterable[Row],
-    left_key: str,
-    right_key: str,
-    stats: Optional[OperatorStats] = None,
-) -> Iterator[Row]:
-    """Build on *right*, probe with *left*; joined rows merge both sides
-    (right-side columns prefixed on collision)."""
-    table: Dict[Any, List[Row]] = {}
-    build_rows = 0
-    for row in right:
-        build_rows += 1
-        table.setdefault(row.get(right_key), []).append(row)
-    table.pop(None, None)  # null keys never join
-    if stats is not None:
-        stats.rows_in += build_rows
-    for row in left:
-        if stats is not None:
-            stats.rows_in += 1
-        for match in table.get(row.get(left_key), ()):
-            joined = merge_joined_row(dict(row), match)
-            if stats is not None:
-                stats.rows_out += 1
-            yield joined
-
-
 def sort_rows(
     rows: Iterable[Row],
     keys: Sequence[str],
@@ -105,12 +77,8 @@ def sort_rows(
     if stats is not None:
         stats.rows_in += len(materialized)
         stats.rows_out += len(materialized)
-
-    def sort_key(row: Row):
-        return tuple(_orderable(row.get(k)) for k in keys)
-
-    materialized.sort(key=sort_key, reverse=descending)
-    return materialized
+    key_columns = [[row.get(k) for row in materialized] for k in keys]
+    return [materialized[i] for i in _sort_order(key_columns, len(materialized), descending)]
 
 
 def _orderable(value: Any) -> Tuple[int, Any]:
@@ -124,27 +92,26 @@ def _orderable(value: Any) -> Tuple[int, Any]:
     return (2, str(value))
 
 
-def top_k(
-    rows: Iterable[Row],
-    k: int,
-    key: str,
-    descending: bool = True,
-    stats: Optional[OperatorStats] = None,
-) -> List[Row]:
-    """Heap-based top-k by one column (the retrieval-interface shape)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if stats is not None:
-        rows = list(rows)
-        stats.rows_in += len(rows)
-    decorated = (( _orderable(row.get(key)), i, row) for i, row in enumerate(rows))
-    if descending:
-        selected = heapq.nlargest(k, decorated, key=lambda t: (t[0], -t[1]))
+def _sort_order(key_columns: Sequence[Sequence[Any]], length: int, descending: bool) -> List[int]:
+    """Row indices in stable ``_orderable`` order of *key_columns*.  One
+    key column of plain numbers (exact int/float/bool, none NaN) sorts on
+    the values themselves: the order of their ``(1, value)`` tuples, ties
+    included."""
+    column = key_columns[0] if len(key_columns) == 1 else ()
+    kinds = set(map(type, column))
+    plain = kinds <= {int, float, bool} and (float not in kinds or all(v == v for v in column))
+    if column and plain:
+        sort_key: Callable[[int], Any] = column.__getitem__
     else:
-        selected = heapq.nsmallest(k, decorated, key=lambda t: (t[0], t[1]))
-    if stats is not None:
-        stats.rows_out += len(selected)
-    return [row for _, _, row in selected]
+        def sort_key(i: int) -> Tuple:
+            return tuple(_orderable(col[i]) for col in key_columns)
+    return sorted(range(length), key=sort_key, reverse=descending)
+
+
+def sorted_group_keys(keys: Iterable[Tuple]) -> List[Tuple]:
+    """Group key tuples in output order (``_orderable`` order, stable)."""
+    keys = list(keys)
+    return [keys[i] for i in _sort_order(list(zip(*keys)), len(keys), False)]
 
 
 # ----------------------------------------------------------------------
@@ -178,28 +145,36 @@ class _AggState:
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
 
-    def update(self, value: Any) -> None:
-        # SQL semantics: NULLs are invisible to count(col)/sum/avg/min/max
-        # (a bare count(*) is handled by the caller, never through here).
-        if value is None:
-            return
-        # Fast path for plain numbers — the vectorized engine funnels
-        # millions of values through here, and classify_value's regex
-        # machinery is only needed for strings (money/number literals).
-        vtype = type(value)
-        if vtype is int or vtype is float:
-            number = float(value)
-        else:
-            if not classify_value(value).is_numeric:
-                raise AggregationTypeError(
-                    f"cannot aggregate non-numeric value {value!r}; "
-                    "the semantic layer should have excluded this column"
-                )
-            number = coerce_numeric(value)
-        self.count += 1
-        self.total += number
-        self.minimum = number if self.minimum is None else min(self.minimum, number)
-        self.maximum = number if self.maximum is None else max(self.maximum, number)
+    def fold(self, values: Iterable[Any]) -> None:
+        """Fold *values* in, in order (floats sum in that order)."""
+        count, total, low, high = self.count, self.total, self.minimum, self.maximum
+        for value in values:
+            # SQL semantics: NULLs are invisible to count(col)/sum/avg/min/
+            # max (a bare count(*) is handled by the caller, never here).
+            if value is None:
+                continue
+            # Fast path for plain numbers — the vectorized engine funnels
+            # millions of values through here, and classify_value's regex
+            # machinery is only needed for strings (money/number literals).
+            vtype = type(value)
+            if vtype is int or vtype is float:
+                number = float(value)
+            else:
+                if not classify_value(value).is_numeric:
+                    raise AggregationTypeError(
+                        f"cannot aggregate non-numeric value {value!r}; "
+                        "the semantic layer should have excluded this column"
+                    )
+                number = coerce_numeric(value)
+            count += 1
+            total += number
+            if low is None:
+                low = high = number
+            elif number < low:  # as min()/max(): the first of equals stays
+                low = number
+            elif number > high:
+                high = number
+        self.count, self.total, self.minimum, self.maximum = count, total, low, high
 
     def result(self, func: str) -> Any:
         if func == "count":
@@ -219,31 +194,16 @@ def group_aggregate(
     aggs: Sequence[AggSpec],
     stats: Optional[OperatorStats] = None,
 ) -> List[Row]:
-    """Hash group-by with the guarded aggregate functions."""
-    group_by = list(group_by)
-    states: Dict[Tuple, Dict[str, _AggState]] = {}
-    key_rows: Dict[Tuple, Row] = {}
-    for row in rows:
-        if stats is not None:
-            stats.rows_in += 1
-        key = tuple(row.get(c) for c in group_by)
-        if key not in states:
-            states[key] = {a.name: _AggState() for a in aggs}
-            key_rows[key] = {c: row.get(c) for c in group_by}
-        bucket = states[key]
-        for agg in aggs:
-            if agg.func == "count" and agg.column is None:
-                bucket[agg.name].count += 1
-            else:
-                bucket[agg.name].update(row.get(agg.column))
-    output = []
-    for key in sorted(states, key=lambda k: tuple(_orderable(v) for v in k)):
-        out_row = dict(key_rows[key])
-        for agg in aggs:
-            out_row[agg.name] = states[key][agg.name].result(agg.func)
-        output.append(out_row)
-        if stats is not None:
-            stats.rows_out += 1
+    """Hash group-by over dict rows: :class:`GroupAggregator` over one
+    batch of the columns it reads."""
+    rows = list(rows)
+    names = list(group_by) + [agg.column for agg in aggs if agg.column is not None]
+    aggregator = GroupAggregator(group_by, aggs)
+    aggregator.add_batch(ColumnBatch({n: [row.get(n) for row in rows] for n in names}, len(rows)))
+    output = aggregator.finish().to_rows()
+    if stats is not None:
+        stats.rows_in += len(rows)
+        stats.rows_out += len(output)
     return output
 
 
@@ -305,6 +265,20 @@ def _note_batch_out(stats: Optional[OperatorStats], batch: ColumnBatch) -> None:
         stats.rows_out += batch.length
 
 
+def _joined_batch(
+    batch: ColumnBatch, hits: List[int], matches: List[List[Row]], stats: Optional[OperatorStats]
+) -> ColumnBatch:
+    """The probe rows at *hits*, each merged with its matches in order."""
+    joined_rows = [
+        merge_joined_row(dict(row), match)
+        for row, row_matches in zip(batch.take(hits).to_rows(), matches)
+        for match in row_matches
+    ]
+    out = ColumnBatch.from_rows(joined_rows)
+    _note_batch_out(stats, out)
+    return out
+
+
 def hash_join_batches(
     probe_batches: Iterable[ColumnBatch],
     build_batches: Iterable[ColumnBatch],
@@ -317,7 +291,7 @@ def hash_join_batches(
     Key-column probing is columnar (non-matching probe rows are skipped
     without ever materializing a dict); only matching rows pay the
     row-merge that implements the collision-rename semantics.  Output
-    rows are identical to :func:`hash_join` on the same inputs.
+    rows are identical to a row-at-a-time hash join on the same inputs.
     """
     table: Dict[Any, List[Row]] = {}
     for batch in build_batches:
@@ -331,16 +305,8 @@ def hash_join_batches(
         _note_batch_in(stats, batch)
         keys = batch.column(probe_key)
         hits = [i for i, key in enumerate(keys) if key in table]
-        if not hits:
-            continue
-        probe_rows = batch.take(hits).to_rows()
-        joined_rows: List[Row] = []
-        for i, row in zip(hits, probe_rows):
-            for match in table[keys[i]]:
-                joined_rows.append(merge_joined_row(dict(row), match))
-        out = ColumnBatch.from_rows(joined_rows)
-        _note_batch_out(stats, out)
-        yield out
+        if hits:
+            yield _joined_batch(batch, hits, [table[keys[i]] for i in hits], stats)
 
 
 def hash_join_swapped_batches(
@@ -385,14 +351,7 @@ def hash_join_swapped_batches(
         if not hit_map:
             continue
         hits = sorted(hit_map)
-        probe_rows = batch.take(hits).to_rows()
-        joined_rows: List[Row] = []
-        for ri, row in zip(hits, probe_rows):
-            for match in hit_map[ri]:
-                joined_rows.append(merge_joined_row(dict(row), match))
-        out = ColumnBatch.from_rows(joined_rows)
-        _note_batch_out(stats, out)
-        yield out
+        yield _joined_batch(batch, hits, [hit_map[ri] for ri in hits], stats)
 
 
 def sort_batches(
@@ -407,12 +366,7 @@ def sort_batches(
         stats.batches_in += 1
         stats.rows_in += merged.length
     key_columns = [merged.column(k) for k in keys]
-    order = sorted(
-        range(merged.length),
-        key=lambda i: tuple(_orderable(col[i]) for col in key_columns),
-        reverse=descending,
-    )
-    out = merged.take(order)
+    out = merged.take(_sort_order(key_columns, merged.length, descending))
     _note_batch_out(stats, out)
     return out
 
@@ -423,8 +377,8 @@ class GroupAggregator:
     Compiled pipelines (:mod:`repro.query.compile`) feed it batches — or
     just the surviving row *indices* of a fused filter, skipping the
     intermediate ``take()`` copy entirely.  Group values, aggregate
-    results, and the sorted output order are identical to
-    :func:`group_aggregate` regardless of how rows arrive.
+    results, and the sorted output order are identical to a
+    row-at-a-time group-by's, however the rows arrive.
     """
 
     __slots__ = ("group_by", "aggs", "_counting_star", "_states")
@@ -436,27 +390,37 @@ class GroupAggregator:
         self._states: Dict[Tuple, List[_AggState]] = {}
 
     def add_batch(self, batch: ColumnBatch, indices: Optional[Sequence[int]] = None) -> None:
-        """Fold *batch* (or only the rows at *indices*) into the groups."""
+        """Fold *batch* (or only the rows at *indices*) into the groups:
+        bucket the rows per group key (first-seen order), then fold each
+        aggregate over its bucket in row order."""
+        rows: Sequence[int] = range(batch.length) if indices is None else indices
         group_columns = [batch.column(c) for c in self.group_by]
+        single = len(group_columns) == 1  # keyed by the value, not a 1-tuple
+        if single:
+            keys: Iterable[Any] = map(group_columns[0].__getitem__, rows)
+        else:
+            keys = [tuple(col[i] for col in group_columns) for i in rows]
+        buckets: Dict[Any, List[int]] = defaultdict(list)
+        for i, key in zip(rows, keys):
+            buckets[key].append(i)
         agg_columns = [
             None if star else batch.column(agg.column)
             for star, agg in zip(self._counting_star, self.aggs)
         ]
-        rows: Iterable[int] = range(batch.length) if indices is None else indices
-        states = self._states
-        for i in rows:
-            key = tuple(col[i] for col in group_columns)
-            bucket = states.get(key)
-            if bucket is None:
-                bucket = states[key] = [_AggState() for _ in self.aggs]
-            for state, column in zip(bucket, agg_columns):
+        for key, bucket in buckets.items():
+            if single:
+                key = (key,)
+            group = self._states.get(key)
+            if group is None:
+                group = self._states[key] = [_AggState() for _ in self.aggs]
+            for state, column in zip(group, agg_columns):
                 if column is None:
-                    state.count += 1  # bare count(*) counts every row
+                    state.count += len(bucket)  # bare count(*) counts every row
                 else:
-                    state.update(column[i])
+                    state.fold(map(column.__getitem__, bucket))
 
     def finish(self) -> ColumnBatch:
-        ordered = sorted(self._states, key=lambda k: tuple(_orderable(v) for v in k))
+        ordered = sorted_group_keys(self._states)
         columns: Dict[str, List[Any]] = {
             name: [key[j] for key in ordered] for j, name in enumerate(self.group_by)
         }

@@ -74,23 +74,20 @@ class IndexManager:
         and probe answers are identical to calling :meth:`index_document`
         per document in the same order.
 
-        A batch that mentions the same doc_id twice (two versions in one
-        group commit) falls back to the sequential path — replacement
-        semantics depend on arrival order, which grouping would lose.
+        A doc_id the batch mentions more than once (a promoted version
+        chain) is indexed once, as its last change, where that change
+        stands: each sequential call would replace the one before.  A
+        tombstone as the last change removes the doc_id.
         """
+        heads: Dict[str, Document] = {}
+        for document in reversed(documents):
+            heads.setdefault(document.doc_id, document)
+        for doc_id, document in heads.items():
+            if document.is_tombstone:
+                self.unindex(doc_id)
+        documents = [d for d in reversed(heads.values()) if not d.is_tombstone]
         if not documents:
             return 0
-        if any(document.is_tombstone for document in documents):
-            # Deletes take the sequential path: arrival order decides
-            # whether a doc_id ends the batch indexed or removed.
-            for document in documents:
-                self.index_document(document)
-            return len(documents)
-        doc_ids = [document.doc_id for document in documents]
-        if len(set(doc_ids)) != len(doc_ids):
-            for document in documents:
-                self.index_document(document)
-            return len(documents)
 
         projections = [projection_of(document) for document in documents]
         for document, projection in zip(documents, projections):

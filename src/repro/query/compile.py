@@ -29,6 +29,7 @@ oracle (``tests/oracle/row_engine.py``) pins all of them.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.exec import costs
@@ -165,31 +166,35 @@ def compile_selector(
     from an existing candidate set (chained fused filters).  The per-term
     value predicates are built once, at pipeline compile time.
 
-    Dictionary-coded columns take a code fast path: the value predicate
-    runs once per *distinct* value (memoized on the shared
-    :class:`~repro.storage.encoding.ColumnDictionary`) and the per-row
-    work collapses to an integer set membership test on still-encoded
-    codes.  The same closure decides both paths, so they select the same
-    rows as ``predicate.matches``.
+    Dictionary-coded columns take a code fast path: the term is decided
+    once per *distinct* value by the shared
+    :class:`~repro.storage.encoding.ColumnDictionary` (a range term with
+    a plain numeric literal by a cut of its sorted view, any other term
+    by the value predicate, memoized) and the per-row work collapses to
+    an integer set membership test on still-encoded codes.  Both paths
+    select the same rows as ``predicate.matches``.
     """
     # The dictionary's match cache is keyed by the term's *text*: its
     # literal prints as a repr, which keeps ``= 1``/``= True``/``= 1.0``
     # and ``contains 0.0``/``contains -0.0`` apart — the frozen terms
     # themselves compare (and hash) equal.
-    compiled: List[Tuple[str, str, Callable[[Any], bool]]] = [
-        (term.column, str(term), term.value_predicate()) for term in predicate.terms
+    compiled: List[Tuple[str, str, Callable[[Any], bool], str, Any]] = [
+        (term.column, str(term), term.value_predicate(), term.op.value, term.value)
+        for term in predicate.terms
     ]
 
     def select(batch: ColumnBatch, candidates: Optional[Sequence[int]] = None) -> List[int]:
         indices: Sequence[int] = range(batch.length) if candidates is None else candidates
-        for column, cache_key, value_predicate in compiled:
+        for column, cache_key, value_predicate, op, literal in compiled:
             if not indices:
                 break
             raw = batch.columns.get(column)
             if isinstance(raw, EncodedColumn):
                 codes = raw.codes()
-                matching = raw.dictionary.matching_codes(cache_key, value_predicate)
-                indices = [i for i in indices if codes[i] in matching]
+                matching = raw.dictionary.matching_codes(cache_key, value_predicate, op, literal)
+                if not isinstance(indices, range):
+                    codes = map(codes.__getitem__, indices)
+                indices = list(compress(indices, map(matching.__contains__, codes)))
                 continue
             values = batch.column(column)
             indices = [i for i in indices if value_predicate(values[i])]
@@ -253,6 +258,24 @@ def _compile_scan(plan: ScanView, stages: List[str]) -> StageFn:
     return run
 
 
+def _run_filter(
+    meter: Any, select: Callable, batch: ColumnBatch, indices: Optional[List[int]]
+) -> Optional[List[int]]:
+    """One fused filter over *batch* (or its surviving *indices*), charged
+    and counted as its own operator: the survivors (None: every row)."""
+    length = batch.length if indices is None else len(indices)
+    meter.charge(length * costs.FILTER_CPU_MS_PER_ROW)
+    stats = meter.stats("filter")
+    stats.batches_in += 1
+    stats.rows_in += length
+    indices = select(batch, indices)
+    if not indices:
+        return []
+    stats.batches_out += 1
+    stats.rows_out += len(indices)
+    return None if len(indices) == batch.length else indices
+
+
 def _compile_chain(plan: PhysicalPlan, stages: List[str]) -> StageFn:
     """Fused scan→filter→project segment.
 
@@ -283,21 +306,13 @@ def _compile_chain(plan: PhysicalPlan, stages: List[str]) -> StageFn:
             indices: Optional[List[int]] = None
             alive = True
             for kind, op in ops:
-                length = batch.length if indices is None else len(indices)
                 if kind == "filter":
-                    charge(length * costs.FILTER_CPU_MS_PER_ROW)
-                    stats = meter.stats("filter")
-                    stats.batches_in += 1
-                    stats.rows_in += length
-                    indices = op(batch, indices)
-                    if not indices:
+                    indices = _run_filter(meter, op, batch, indices)
+                    if indices == []:
                         alive = False
                         break
-                    stats.batches_out += 1
-                    stats.rows_out += len(indices)
-                    if len(indices) == batch.length:
-                        indices = None
                 else:  # project
+                    length = batch.length if indices is None else len(indices)
                     charge(length * costs.PROJECT_CPU_MS_PER_ROW)
                     stats = meter.stats("project")
                     stats.batches_in += 1
@@ -344,19 +359,10 @@ def _compile_aggregate(plan: Aggregate, stages: List[str]) -> StageFn:
             indices: Optional[List[int]] = None
             alive = True
             for select in selectors:
-                length = batch.length if indices is None else len(indices)
-                charge(length * costs.FILTER_CPU_MS_PER_ROW)
-                stats = meter.stats("filter")
-                stats.batches_in += 1
-                stats.rows_in += length
-                indices = select(batch, indices)
-                if not indices:
+                indices = _run_filter(meter, select, batch, indices)
+                if indices == []:
                     alive = False
                     break
-                stats.batches_out += 1
-                stats.rows_out += len(indices)
-                if len(indices) == batch.length:
-                    indices = None
             if not alive:
                 continue
             length = batch.length if indices is None else len(indices)

@@ -26,6 +26,7 @@ from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -72,6 +73,7 @@ from repro.query.plans import (
 )
 from repro.query.result import QueryResult
 from repro.query.sql import parse_sql
+from repro.storage.encoding import _dict_key
 from repro.storage.store import DocumentStore
 
 
@@ -226,15 +228,10 @@ class QueryEngine:
         covers documents — an empty index (e.g. a historical snapshot,
         which has no index) must force scan-based plans, or probes would
         silently return nothing."""
-        if self.repository.indexes.values.doc_count == 0:
+        views = self.repository.views
+        if self.repository.indexes.values.doc_count == 0 or view_name not in views:
             return False
-        if view_name not in self.repository.views:
-            return False
-        view = self.repository.views.get(view_name)
-        for vcolumn in view.columns:
-            if vcolumn.name == column and vcolumn.source == "self":
-                return True
-        return False
+        return any(c.name == column and c.source == "self" for c in views.get(view_name).columns)
 
     def _column_path(self, view: RelationalView, column: str):
         for vcolumn in view.columns:
@@ -565,39 +562,66 @@ class QueryEngine:
     def _indexed_join_rows(
         self, plan: PhysIndexedJoin, outer: List[Row], meter: _CostMeter
     ) -> List[Row]:
-        """Indexed-NL join body (probes are inherently row-at-a-time:
-        one index lookup per outer row)."""
-        if meter.adaptive:
-            view = self.repository.views.get(plan.inner_view)
-            path = self._column_path(view, plan.inner_column)
-            return self._run_adaptive_indexed_join(plan, outer, view, path, meter)
-        return self._probe_join_rows(plan, outer, meter)
+        """Indexed-NL join body: plain probes, or under adaptive mode
+        probes that may migrate to a hash join mid-flight (Section 3.3)."""
+        if not meter.adaptive:
+            return self._probe_join_rows(plan, outer, meter)
+        from repro.query.adaptive import adaptive_indexed_join
+
+        results, report = adaptive_indexed_join(
+            outer,
+            plan.outer_column,
+            self._inner_fetcher(plan),
+            lambda: self._inner_rows(plan, meter),
+            plan.inner_column,
+            probe_budget=self.adaptive_config.probe_budget,
+            probe_cost_ms=meter.probe_cost_ms,
+        )
+        meter.charge(report.sim_ms)
+        meter.adaptive_reports.append(report)
+        return results
 
     def _probe_join_rows(
         self, plan: PhysIndexedJoin, outer: List[Row], meter: _CostMeter
     ) -> List[Row]:
         """Plain probe loop: one (penalty-priced) index probe per
-        non-null outer row."""
-        view = self.repository.views.get(plan.inner_view)
-        path = self._column_path(view, plan.inner_column)
+        non-null outer row; the inner rows are fetched once per key."""
+        inner_rows_of = self._inner_fetcher(plan)
         results: List[Row] = []
         for row in outer:
             key = row.get(plan.outer_column)
             if key is None:
                 continue
             meter.charge(meter.probe_cost_ms)
-            doc_ids = self._probe_index(path, key)
-            for doc_id in sorted(doc_ids):
-                document = self.repository.lookup(doc_id)
-                if document is None or not view.matches(document):
-                    continue
-                inner_row = view.project(document, self.repository.lookup)
-                if inner_row is None:
-                    continue
-                if plan.inner_predicate is not None and not plan.inner_predicate.matches(inner_row):
-                    continue
+            for inner_row in inner_rows_of(key):
                 results.append(merge_joined_row(dict(row), inner_row))
         return results
+
+    def _inner_fetcher(self, plan: PhysIndexedJoin) -> Callable[[Any], List[Row]]:
+        """key → the inner rows its index probe joins, memoised for one
+        join under the column dictionary's key (``1``/``True``/``1.0``
+        and ``0.0``/``-0.0`` stay apart); a NaN key is fetched each time."""
+        view = self.repository.views.get(plan.inner_view)
+        path = self._column_path(view, plan.inner_column)
+        lookup, predicate = self.repository.lookup, plan.inner_predicate
+        memo: Dict[Any, List[Row]] = {}
+
+        def fetch(key: Any) -> List[Row]:
+            memo_key = _dict_key(key)
+            if key == key and memo_key in memo:
+                return memo[memo_key]
+            matches: List[Row] = []
+            for doc_id in sorted(self._probe_index(path, key)):
+                document = lookup(doc_id)
+                if document is None or not view.matches(document):
+                    continue
+                inner_row = view.project(document, lookup)
+                if inner_row is not None and (predicate is None or predicate.matches(inner_row)):
+                    matches.append(inner_row)
+            memo[memo_key] = matches
+            return matches
+
+        return fetch
 
     def _indexed_join_stage(
         self, plan: PhysIndexedJoin, outer: List[Row], ctx: PipelineContext
@@ -669,39 +693,6 @@ class QueryEngine:
                 sim_ms=meter.ms - before_ms,
             )
         )
-        return results
-
-    def _run_adaptive_indexed_join(
-        self, plan: PhysIndexedJoin, outer: List[Row], view, path, meter: _CostMeter
-    ) -> List[Row]:
-        """Indexed-NL with mid-flight migration (Section 3.3)."""
-        from repro.query.adaptive import adaptive_indexed_join
-
-        def probe(key) -> List[Row]:
-            matches: List[Row] = []
-            for doc_id in sorted(self._probe_index(path, key)):
-                document = self.repository.lookup(doc_id)
-                if document is None or not view.matches(document):
-                    continue
-                inner_row = view.project(document, self.repository.lookup)
-                if inner_row is None:
-                    continue
-                if plan.inner_predicate is not None and not plan.inner_predicate.matches(inner_row):
-                    continue
-                matches.append(inner_row)
-            return matches
-
-        results, report = adaptive_indexed_join(
-            outer,
-            plan.outer_column,
-            probe,
-            lambda: self._inner_rows(plan, meter),
-            plan.inner_column,
-            probe_budget=self.adaptive_config.probe_budget,
-            probe_cost_ms=meter.probe_cost_ms,
-        )
-        meter.charge(report.sim_ms)
-        meter.adaptive_reports.append(report)
         return results
 
     # ------------------------------------------------------------------

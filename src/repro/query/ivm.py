@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.storage.bus import DocumentChange
-from repro.exec.operators import AggSpec, Row, _orderable, group_aggregate, sort_rows
+from repro.exec.operators import AggSpec, Row, group_aggregate, sort_rows, sorted_group_keys
 from repro.model.views import RelationalView
 from repro.query.plans import (
     Aggregate,
@@ -325,7 +325,7 @@ class ViewMaintainer:
             for key in self._stale_groups:
                 self._fold(key)
             self._stale_groups = set()
-            ordered = sorted(self._group_agg, key=lambda k: tuple(_orderable(v) for v in k))
+            ordered = sorted_group_keys(self._group_agg)
             rows = [dict(row) for row in map(self._group_row, ordered) if row is not None]
         else:
             rows = [self._output(self._doc_rows[doc_id]) for doc_id in sorted(self._doc_rows)]

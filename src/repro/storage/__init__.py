@@ -41,7 +41,6 @@ from repro.storage.replication import (
 from repro.storage.encoding import (
     ColumnDictionary,
     EncodedColumn,
-    encode_values,
     rle_decode,
     rle_encode,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "class_for_kind",
     "ColumnDictionary",
     "EncodedColumn",
-    "encode_values",
     "rle_decode",
     "rle_encode",
     "ColumnPage",

@@ -30,17 +30,22 @@ without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import heapq
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.values import MISSING
 
 __all__ = [
     "ColumnDictionary",
     "EncodedColumn",
-    "encode_values",
     "rle_encode",
     "rle_decode",
 ]
+
+#: Predicate results one dictionary caches, least recently used evicted
+#: first (range comparisons on plain numbers need no cache).
+MATCH_CACHE_ENTRIES = 32
 
 
 def _dict_key(value: Any) -> Tuple[type, Any]:
@@ -65,13 +70,15 @@ class ColumnDictionary:
 
     Append-only: a value's code never changes once assigned, so encoded
     vectors from different pages/segments are directly comparable.  The
-    dictionary also memoizes *predicate* evaluations: a compiled
-    comparison is run once per distinct value and the surviving code set
-    is cached (and extended incrementally as the dictionary grows), which
-    is what makes filtering on codes cheaper than filtering on values.
+    dictionary also decides predicates once per *distinct* value
+    (:meth:`matching_codes`), which is what makes filtering on codes
+    cheaper than filtering on values.
     """
 
-    __slots__ = ("_code_of", "_values", "_raw_sizes", "raw_entry_bytes", "_match_cache")
+    __slots__ = (
+        "_code_of", "_values", "_raw_sizes", "raw_entry_bytes", "_match_cache",
+        "match_hits", "match_evictions", "_sorted", "_sorted_codes", "_unsorted",
+    )
 
     def __init__(self) -> None:
         self._code_of: Dict[Tuple[type, Any], int] = {}
@@ -82,8 +89,15 @@ class ColumnDictionary:
         #: Running sum of per-entry decoded sizes (the dictionary's own
         #: storage cost, before per-code width).
         self.raw_entry_bytes = 0
-        # predicate cache: key -> [n_values_checked, set_of_matching_codes]
+        # predicate cache, least recently used first:
+        # key -> [n_values_checked, set_of_matching_codes]
         self._match_cache: Dict[Any, List[Any]] = {}
+        self.match_hits = self.match_evictions = 0
+        # sorted view: the plain numbers in value order with their codes,
+        # and the other codes (together: every code taken in so far)
+        self._sorted: List[Any] = []
+        self._sorted_codes: List[int] = []
+        self._unsorted: List[int] = []
 
     def __len__(self) -> int:
         return len(self._values)
@@ -107,57 +121,86 @@ class ColumnDictionary:
         """Approximate decoded byte cost of the value behind *code*."""
         return self._raw_sizes[code]
 
-    def encode_many(self, values: Sequence[Any]) -> List[int]:
-        encode = self.encode_one
-        return [encode(v) for v in values]
-
-    def value(self, code: int) -> Any:
-        return self._values[code]
-
     def values(self) -> List[Any]:
         """The decode table (index = code).  Do not mutate."""
         return self._values
 
-    def decode_many(self, codes: Sequence[int]) -> List[Any]:
-        table = self._values
-        return [table[c] for c in codes]
+    def match_entries(self) -> int:
+        """Predicate results cached now (at most :data:`MATCH_CACHE_ENTRIES`)."""
+        return len(self._match_cache)
 
     # ------------------------------------------------------------------
     def matching_codes(
-        self, cache_key: Any, predicate: Callable[[Any], bool]
+        self, cache_key: Any, predicate: Callable[[Any], bool], op: str = "", literal: Any = None
     ) -> frozenset:
-        """Codes whose decoded value satisfies *predicate*.
+        """Codes whose decoded value satisfies *predicate* (which sees
+        :data:`MISSING` as None, as a row-at-a-time filter would).
 
-        *predicate* sees exactly what ``ColumnBatch.column`` would hand a
-        row-at-a-time filter: the decoded value, with :data:`MISSING`
-        read as None.  Results are cached under *cache_key* (the
-        comparison's text — not the frozen ``Comparison``, which equates
-        literals such as ``1``/``True`` and ``0.0``/``-0.0`` that select
-        different rows) and extended incrementally —
-        appending values to the dictionary re-evaluates the predicate
-        only on the new tail, never on the already-checked prefix.
+        For ``value op literal`` with *op* in ``<``/``<=``/``>``/``>=`` and
+        an ``int``/``float`` literal that is not NaN, the plain numbers
+        (exact ``int``/``float``/``bool``, not NaN: one total order, the
+        ``<`` the predicate uses) are a ``bisect`` cut of the sorted view,
+        and only the other values meet *predicate*.  Any other result is
+        cached under *cache_key* (the comparison's text: the frozen
+        ``Comparison`` equates ``1``/``True`` and ``0.0``/``-0.0``, which
+        select different rows) — at most :data:`MATCH_CACHE_ENTRIES`
+        keys, each extended only over the dictionary's new tail.
         """
+        plain = literal.__class__ in (int, float) and literal == literal
+        if plain and op in ("<", "<=", ">", ">="):
+            return self._range_codes(op, literal, predicate)
         try:
-            cached = self._match_cache.get(cache_key)
+            hash(cache_key)
         except TypeError:  # unhashable literal: evaluate without caching
-            return self._scan_codes(0, set(), predicate)
-        if cached is None:
+            return self._scan_codes(range(len(self._values)), set(), predicate)
+        cached = self._match_cache.pop(cache_key, None)
+        if cached is not None:
+            self.match_hits += 1
+        elif len(self._match_cache) < MATCH_CACHE_ENTRIES:
             cached = [0, set()]
-            self._match_cache[cache_key] = cached
-        checked, matches = cached
-        if checked < len(self._values):
-            self._scan_codes(checked, matches, predicate)
-            cached[0] = len(self._values)
-        return frozenset(matches)
+        else:
+            del self._match_cache[next(iter(self._match_cache))]
+            self.match_evictions += 1
+            cached = [0, set()]
+        self._scan_codes(range(cached[0], len(self._values)), cached[1], predicate)
+        cached[0] = len(self._values)
+        self._match_cache[cache_key] = cached  # last: most recently used
+        return frozenset(cached[1])
 
-    def _scan_codes(self, start: int, matches: set, predicate) -> frozenset:
-        for code in range(start, len(self._values)):
+    def _scan_codes(self, codes: Iterable[int], matches: set, predicate) -> frozenset:
+        for code in codes:
             value = self._values[code]
-            if value is MISSING:
-                value = None
-            if predicate(value):
+            if predicate(None if value is MISSING else value):
                 matches.add(code)
         return frozenset(matches)
+
+    def _range_codes(self, op: str, literal: Any, predicate) -> frozenset:
+        self._extend_sorted_view()
+        cut = (bisect_left if op in ("<", ">=") else bisect_right)(self._sorted, literal)
+        hits = self._sorted_codes[:cut] if op[0] == "<" else self._sorted_codes[cut:]
+        return self._scan_codes(self._unsorted, set(hits), predicate)
+
+    def _extend_sorted_view(self) -> None:
+        """Take the dictionary's new tail into the sorted view: the tail
+        alone is sorted, then inserted (short) or merged in (long)."""
+        table = self._values
+        tail = []
+        for code in range(len(self._sorted) + len(self._unsorted), len(table)):
+            value = table[code]
+            if value.__class__ in (int, float, bool) and value == value:
+                tail.append((value, code))
+            else:
+                self._unsorted.append(code)
+        tail.sort()
+        if len(tail) * 16 < len(self._sorted):
+            for value, code in tail:
+                at = bisect_right(self._sorted, value)
+                self._sorted.insert(at, value)
+                self._sorted_codes.insert(at, code)
+        elif tail:
+            merged = list(heapq.merge(zip(self._sorted, self._sorted_codes), tail))
+            self._sorted = [value for value, _ in merged]
+            self._sorted_codes = [code for _, code in merged]
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +278,8 @@ class EncodedColumn(Sequence):
     ) -> "EncodedColumn":
         """Encode *values*, choosing the smaller of flat vs run-length."""
         dictionary = dictionary if dictionary is not None else ColumnDictionary()
-        codes = dictionary.encode_many(values)
-        return cls.from_codes(codes, dictionary)
+        encode = dictionary.encode_one
+        return cls.from_codes([encode(v) for v in values], dictionary)
 
     @classmethod
     def from_codes(
@@ -292,7 +335,8 @@ class EncodedColumn(Sequence):
     def decoded(self) -> List[Any]:
         """The exact value stream this column encodes (memoized)."""
         if self._decoded is None:
-            self._decoded = self.dictionary.decode_many(self.codes())
+            table = self.dictionary.values()
+            self._decoded = [table[c] for c in self.codes()]
         return self._decoded
 
     def __len__(self) -> int:
@@ -317,9 +361,3 @@ class EncodedColumn(Sequence):
         layout = "rle" if self.is_run_length else "flat"
         return f"EncodedColumn({self.length} rows, {layout}, dict={len(self.dictionary)})"
 
-
-def encode_values(
-    values: Sequence[Any], dictionary: Optional[ColumnDictionary] = None
-) -> EncodedColumn:
-    """Convenience: dictionary- and run-length-encode one value stream."""
-    return EncodedColumn.from_values(values, dictionary)

@@ -6,8 +6,9 @@ interpreter in the repository and nothing under ``src/`` imports it.
 
 It walks a physical plan over dict rows with the textbook operators
 (``predicate.matches`` per row, ``hash_join``, ``sort_rows``,
-``group_aggregate``), reading documents one at a time through
-``view.project`` — no batches, no dictionary codes, no fusion.  Planning
+``group_aggregate``, one index probe and inner fetch per outer row),
+reading documents one at a time through ``view.project`` — no batches,
+no dictionary codes, no fusion, no memo.  Planning
 goes through a private :class:`QueryEngine`'s planners and charges land
 on the same ``_CostMeter`` by the same per-row formulas, so ``rows``
 (exact order), ``sim_ms`` and per-operator ``rows_in``/``rows_out`` are
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.exec import costs
-from repro.exec.operators import Row, group_aggregate, hash_join, sort_rows
+from repro.exec.operators import Row, merge_joined_row
 from repro.query.engine import QueryEngine, _CostMeter, _describe_physical
 from repro.query.planner import PhysHashJoin, PhysicalPlan, PhysIndexedJoin
 from repro.query.plans import (
@@ -34,6 +35,7 @@ from repro.query.plans import (
 )
 from repro.query.result import QueryResult
 from repro.query.sql import parse_sql
+from tests.oracle.row_operators import group_aggregate, hash_join, sort_rows
 
 
 def row_counts(operator_stats: Dict[str, Any]) -> Dict[str, Tuple[int, int]]:
@@ -52,7 +54,7 @@ class RowEngine:
 
     def __init__(self, repository) -> None:
         self.repository = repository
-        # planners and the index-probe loop only — never its pipelines
+        # planners and column paths only — never its pipelines or probes
         self._engine = QueryEngine(repository)
 
     def sql(self, query: str, planner: str = "simple", statistics=None) -> QueryResult:
@@ -145,9 +147,34 @@ class RowEngine:
             )
         if isinstance(plan, PhysIndexedJoin):
             outer = self._run(plan.outer, meter)
-            joined = self._engine._probe_join_rows(plan, outer, meter)
+            joined = self._probe_join_rows(plan, outer, meter)
             stats = meter.stats("indexed_join")
             stats.rows_in += len(outer)
             stats.rows_out += len(joined)
             return joined
         raise TypeError(f"cannot execute {plan!r}")
+
+    def _probe_join_rows(
+        self, plan: PhysIndexedJoin, outer: List[Row], meter: _CostMeter
+    ) -> List[Row]:
+        """One index probe and one inner fetch per non-null outer row."""
+        view = self.repository.views.get(plan.inner_view)
+        path = self._engine._column_path(view, plan.inner_column)
+        results: List[Row] = []
+        for row in outer:
+            key = row.get(plan.outer_column)
+            if key is None:
+                continue
+            meter.charge(meter.probe_cost_ms)
+            doc_ids = self.repository.indexes.values.docs_with_value(path, key)
+            for doc_id in sorted(doc_ids):
+                document = self.repository.lookup(doc_id)
+                if document is None or not view.matches(document):
+                    continue
+                inner_row = view.project(document, self.repository.lookup)
+                if inner_row is None:
+                    continue
+                if plan.inner_predicate is not None and not plan.inner_predicate.matches(inner_row):
+                    continue
+                results.append(merge_joined_row(dict(row), inner_row))
+        return results

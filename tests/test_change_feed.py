@@ -20,6 +20,7 @@ from repro.cluster.topology import ImplianceCluster
 from repro.core.appliance import Impliance
 from repro.core.config import ApplianceConfig
 from repro.index.manager import IndexManager
+from repro.index.text import InvertedIndex
 from repro.model.converters import from_relational_row, from_text
 from repro.model.document import DocumentKind
 from repro.storage.versions import VersionConflictError
@@ -197,6 +198,30 @@ def test_delete_after_discover_and_promote_keep_derived_state_equal():
                  ("discover", None), ("delete", 2)):
         _apply(app, step)
         _check_derived_state(app)
+
+
+def test_promote_indexes_each_chain_once_per_index(monkeypatch):
+    """Failover hands a survivor every version of each chain in one
+    change set; each index takes in only the chain's head, and ends equal
+    to a rebuild (indexing all 5 versions in turn did 5x the work)."""
+    app = _app()
+    docs = app.ingest_many([f"alpha refund call {i}" for i in range(40)], "text")
+    for version in range(4):
+        for document in docs:
+            app.update_document(document.doc_id, f"late widgetpro {version} {document.doc_id}")
+    victim = app.cluster.home_of(docs[0].doc_id).node_id
+    added = []
+    for name in ("add", "add_projected"):  # one text-index add per document indexed
+        original = getattr(InvertedIndex, name)
+        monkeypatch.setattr(
+            InvertedIndex, name,
+            lambda self, doc_id, *rest, _original=original: (
+                added.append(doc_id), _original(self, doc_id, *rest))[1],
+        )
+    moved = app.fail_node(victim)
+    assert moved > 0
+    assert len(added) == 2 * moved  # the survivor's node index + the global one
+    _check_derived_state(app)
 
 
 # ----------------------------------------------------------------------

@@ -22,12 +22,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.appliance import Impliance
+from repro.core.config import ApplianceConfig
 from repro.exec.batch import MISSING, ColumnBatch
+from repro.exec.operators import AggregationTypeError, AggSpec
+from repro.model.converters import from_relational_row
 from repro.model.document import Document
 from repro.model.views import base_table_view
 from repro.query.compile import compile_selector
 from repro.query.engine import LocalRepository, QueryEngine
-from repro.query.plans import Comparison, CompareOp, Conjunction
+from repro.query.plans import (
+    Aggregate,
+    Comparison,
+    CompareOp,
+    Conjunction,
+    Filter,
+    Join,
+    Limit,
+    ScanView,
+    Sort,
+)
 from repro.storage.bufferpool import BufferPool
 from repro.storage.columnstore import (
     ColumnPage,
@@ -36,6 +50,7 @@ from repro.storage.columnstore import (
     regular_row_values,
 )
 from repro.storage.encoding import (
+    MATCH_CACHE_ENTRIES,
     ColumnDictionary,
     EncodedColumn,
     rle_decode,
@@ -51,13 +66,18 @@ pytestmark = pytest.mark.storage
 # ----------------------------------------------------------------------
 # value strategies
 # ----------------------------------------------------------------------
+#: Values whose equality, hashing or ordering is easy to get wrong: NaN,
+#: the infinities, -0.0, ints past float precision and the three equal
+#: ones ``True``/``1``/``1.0``.
+HOSTILE = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 2**70, -(2**70), True, 1, 1.0]
+
 scalars = st.one_of(
     st.none(),
     st.just(MISSING),
     st.booleans(),
     st.integers(min_value=-(10**6), max_value=10**6),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.just(-0.0),
+    st.sampled_from(HOSTILE),
     st.text(max_size=8),
 )
 
@@ -157,6 +177,7 @@ literals = st.one_of(
     st.booleans(),
     st.integers(min_value=-100, max_value=100),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from(HOSTILE),
     st.text(max_size=4),
 )
 
@@ -187,16 +208,67 @@ class TestCodePredicateEquivalence:
             select = compile_selector(Conjunction((Comparison("c", op, literal),)))
             assert select(encoded) == select(plain), (op, literal)
 
-    @given(st.lists(scalars, max_size=100), comparison_ops, literals)
+    @given(st.lists(scalars, max_size=100), comparison_ops, literals, st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_matching_codes_agree_with_value_predicate(self, values, op, literal):
+    def test_matching_codes_agree_with_value_predicate(self, values, op, literal, cut):
+        """With and without the comparison spelled out (the sorted-view
+        cut, or the predicate run per distinct value)."""
         term = Comparison("c", op, literal)
         column = EncodedColumn.from_values(values)
-        matching = column.dictionary.matching_codes(term, term.value_predicate())
+        spelled = (op.value, literal) if cut else ()
+        matching = column.dictionary.matching_codes(term, term.value_predicate(), *spelled)
         pred = term.value_predicate()
         for i, value in enumerate(values):
             expected = pred(None if value is MISSING else value)
             assert (column.codes()[i] in matching) == expected
+
+    @given(
+        st.lists(st.lists(scalars, max_size=40), min_size=2, max_size=4),
+        st.sampled_from([CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE]),
+        literals,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_range_cut_follows_a_growing_dictionary(self, appends, op, literal):
+        """The sorted view takes in every value appended after it was
+        built: each append is followed by the same range query."""
+        dictionary = ColumnDictionary()
+        term = Comparison("c", op, literal)
+        pred = term.value_predicate()
+        for values in appends:
+            EncodedColumn.from_values(values, dictionary)
+            got = dictionary.matching_codes(str(term), pred, op.value, literal)
+            table = dictionary.values()
+            assert got == {
+                code for code, value in enumerate(table)
+                if pred(None if value is MISSING else value)
+            }
+
+    def test_match_cache_is_bounded(self):
+        """360 fresh literals (a scan_sql run's worth) leave at most the
+        bound of cached results; range cuts never enter the cache."""
+        dictionary = ColumnDictionary()
+        EncodedColumn.from_values([i % 50 for i in range(200)], dictionary)
+        for x in range(360):
+            for op in (CompareOp.EQ, CompareOp.GT):
+                term = Comparison("c", op, x)
+                dictionary.matching_codes(str(term), term.value_predicate(), op.value, x)
+        assert dictionary.match_entries() == MATCH_CACHE_ENTRIES
+        assert dictionary.match_evictions == 360 - MATCH_CACHE_ENTRIES
+        term = Comparison("c", CompareOp.EQ, 359)  # most recently used: still cached
+        dictionary.matching_codes(str(term), term.value_predicate(), "=", 359)
+        assert dictionary.match_hits == 1
+
+    def test_match_cache_counters_reach_stats(self):
+        app = Impliance(ApplianceConfig(n_data_nodes=2, n_grid_nodes=1))
+        app.ingest_many([{"oid": i, "c": i % 50} for i in range(200)], table="t")
+        for x in range(360):
+            app.sql(f"SELECT oid FROM t WHERE c = {x}")
+        app.sql("SELECT c FROM t WHERE c = 359")  # a new statement, a cached predicate
+        columnar = app.stats()["storage"]["columnar"]
+        # one dictionary per column per data node; only ``c`` is filtered
+        assert columnar["match_cache_entries"] == 2 * MATCH_CACHE_ENTRIES
+        assert columnar["match_cache_evictions"] == 2 * (360 - MATCH_CACHE_ENTRIES)
+        assert columnar["match_cache_hits"] == 2
 
     def test_cache_extends_incrementally(self):
         dictionary = ColumnDictionary()
@@ -490,6 +562,126 @@ class TestEngineIntegration:
         batches, _ = produced
         batch = next(iter(batches))
         assert isinstance(batch.columns["region"], EncodedColumn)
+
+
+# ----------------------------------------------------------------------
+# hostile values through whole queries: compiled pipelines ≡ row oracle
+# ----------------------------------------------------------------------
+T_VIEW = base_table_view("t", "t", ["oid", "c", "v", "g", "k"])
+D_VIEW = base_table_view("d", "d", ["did", "k", "name"])
+#: Join keys: equal-but-distinct numbers and case-folded strings (the
+#: value index folds both).  NaN stays out: a NaN key finds a NaN row
+#: in the value index by object identity alone.
+JOIN_KEYS = [None, 0, 1, 2, True, 1.0, 0.0, -0.0, "a", "A"]
+GROUP_KEYS = [None, "a", "b", 1, True, 1.0, 0.0, -0.0, 2**70]
+
+range_ops = st.sampled_from([CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE])
+numbers = st.one_of(
+    st.integers(-100, 100), st.floats(-1e6, 1e6, width=32), st.sampled_from(HOSTILE)
+)
+#: What a sum adds in a different order comes out different: magnitudes
+#: far apart, and both zeros (min/max keep the first of equals).
+summands = st.one_of(
+    st.floats(-1e6, 1e6), st.sampled_from([1e16, -1e16, 0.1, 0.2, 0.3, 0.0, -0.0, 3, 2**70])
+)
+
+t_rows = st.fixed_dictionaries(
+    {},
+    optional={  # an absent key reads as MISSING
+        "c": st.one_of(numbers, scalars.filter(lambda v: v is not MISSING)),
+        "v": summands,
+        "g": st.sampled_from(GROUP_KEYS),
+        "k": st.sampled_from(JOIN_KEYS),
+    },
+)
+d_rows = st.fixed_dictionaries(
+    {"k": st.sampled_from(JOIN_KEYS), "name": st.sampled_from(["p", "q"])}
+)
+
+
+@st.composite
+def hostile_plans(draw):
+    # weighted toward range terms on numbers: the sorted-view cut
+    op = draw(st.one_of(range_ops, comparison_ops))
+    where = Conjunction((Comparison("c", op, draw(st.one_of(numbers, literals))),))
+    plan = ScanView("t")
+    shape = draw(st.sampled_from(["filter", "aggregate", "sort", "join"]))
+    if shape == "filter" or draw(st.booleans()):
+        plan = Filter(plan, where)
+    if shape == "aggregate":
+        funcs = draw(st.lists(st.sampled_from(["sum", "avg", "count", "min", "max"]),
+                              min_size=1, max_size=3, unique=True))
+        column = draw(st.sampled_from(["v", "v", "c"]))
+        aggs = tuple(AggSpec(f, f, column) for f in funcs) + (AggSpec("n", "count"),)
+        plan = Aggregate(plan, draw(st.sampled_from([(), ("g",), ("k",), ("g", "k")])), aggs)
+    elif shape == "sort":
+        keys = draw(st.sampled_from([("c",), ("v",), ("g",), ("oid",), ("g", "v")]))
+        plan = Limit(Sort(plan, keys, draw(st.booleans())), draw(st.integers(0, 8)))
+    elif shape == "join":
+        plan = Join(plan, ScanView("d"), "k", "k")
+    return plan
+
+
+def _outcome(engine, plan):
+    """Rows in order, each value by repr (``==`` cannot tell -0.0 from
+    0.0, nor one NaN from another), and sim-ms; or the aggregate error
+    both engines must raise.  A row's key order is not compared: a
+    joined row that gained an ``r_`` column comes back from the batch
+    round trip in the batch's column order."""
+    try:
+        result = engine.execute(plan)
+    except AggregationTypeError:
+        return "AggregationTypeError", 0.0
+    rows = [sorted((key, repr(value)) for key, value in row.items()) for row in result.rows]
+    return rows, result.sim_ms
+
+
+class TestHostileQueries:
+    @given(
+        first=st.lists(t_rows, max_size=25),
+        grown=st.lists(t_rows, min_size=1, max_size=25),
+        inner=st.lists(d_rows, min_size=1, max_size=8),
+        plan=hostile_plans(),
+    )
+    @example(  # a value appended after the sorted view was built
+        first=[{"c": 1}], grown=[{"c": 5}], inner=[{"k": 0, "name": "p"}],
+        plan=Filter(ScanView("t"), Conjunction((Comparison("c", CompareOp.GT, 0),))),
+    )
+    @example(  # mixed types fall back from the plain-key sort
+        first=[{"c": 2.5}, {"c": "x"}], grown=[{"c": True}, {"c": float("nan")}],
+        inner=[{"k": 0, "name": "p"}], plan=Limit(Sort(ScanView("t"), ("c",), True), 3),
+    )
+    @example(  # equal-but-distinct join keys probe one index entry
+        first=[{"k": 1}, {"k": True}, {"k": 1.0}, {"k": 1}], grown=[{"k": "A"}],
+        inner=[{"k": 1, "name": "p"}, {"k": "a", "name": "q"}],
+        plan=Join(ScanView("t"), ScanView("d"), "k", "k"),
+    )
+    @example(  # 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1: sums keep row order
+        first=[{"v": 0.1, "g": "a"}, {"v": 0.2, "g": "b"}, {"v": 0.2, "g": "a"}],
+        grown=[{"v": 0.3, "g": "a"}], inner=[{"k": 0, "name": "p"}],
+        plan=Aggregate(ScanView("t"), ("g",), (AggSpec("s", "sum", "v"),)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_equals_row_oracle(self, first, grown, inner, plan):
+        """Rows, their order and sim-ms, before and after the column
+        dictionaries grow (the trickle-write shape: a sorted view or a
+        cached predicate that missed the new values would show here)."""
+        store = DocumentStore()
+        repo = LocalRepository(store)
+        repo.views.define(T_VIEW)
+        repo.views.define(D_VIEW)
+        for i, row in enumerate(inner):
+            store.put(from_relational_row(f"d{i}", "d", {"did": i, **row}, ["did"]))
+        compiled, oracle = QueryEngine(repo, batch_size=8), RowEngine(repo)
+        for start, rows in ((0, first), (len(first), grown)):
+            for i, row in enumerate(rows, start):
+                store.put(from_relational_row(f"t{i}", "t", {"oid": i, **row}, ["oid"]))
+            (rows, sim_ms), (want_rows, want_sim_ms) = (
+                _outcome(compiled, plan), _outcome(oracle, plan)
+            )
+            assert rows == want_rows
+            # the same per-row charges, added per batch vs per operator
+            assert sim_ms == pytest.approx(want_sim_ms)
 
 
 # ----------------------------------------------------------------------

@@ -19,14 +19,13 @@ from repro.exec.operators import (
     AggSpec,
     GroupAggregator,
     OperatorStats,
-    group_aggregate,
-    hash_join,
     hash_join_batches,
     merge_joined_row,
     sort_batches,
     sort_rows,
-    top_k,
 )
+from tests.oracle import row_operators
+from tests.oracle.row_operators import group_aggregate, hash_join, top_k
 from repro.model.converters import from_relational_row
 from repro.model.views import base_table_view
 from repro.query.adaptive import AdaptiveConfig
@@ -130,7 +129,7 @@ class TestVectorizedOperators:
 
     def test_sort_matches_row_sort(self):
         for descending in (False, True):
-            expected = sort_rows(list(ROWS), ["v"], descending)
+            expected = row_operators.sort_rows(list(ROWS), ["v"], descending)
             got = sort_batches(_batches(ROWS), ["v"], descending).to_rows()
             assert got == expected
 

